@@ -15,6 +15,7 @@ import os
 import sys
 
 import numpy as np
+from scipy.sparse.linalg import ArpackError
 
 from .errors import NumericalError, ValidationError
 from . import clusters as clusters_mod
@@ -22,7 +23,7 @@ from . import factor_model as fm
 from . import panel as panel_mod
 from . import spectral as spectral_mod
 from . import synth as synth_mod
-from .panel import FLOAT_FMT, PSD_TOL, _atomic_write
+from .panel import FLOAT_FMT, _atomic_write
 
 MODEL_SCHEMA = {
     "type": "object",
@@ -130,9 +131,9 @@ def model_eigenstructure(model):
             return fm.reduce_nondiagonal(sizes, factor_corr), "closed-form-nondiagonal"
     elif np.all(model.xi == 0):
         return fm.reduce_nonbinary(model), "reduced-nonbinary"
-    summary = fm.dense_rho_star(model)
     _, corr = fm.build_covariance(model)
-    w = np.linalg.eigvalsh(corr.psi)[::-1]
+    summary = fm.dense_rho_star(model, corr)
+    w = corr.spectrum[0][::-1]
     values = [(float(x), 1) for x in w]
     return (
         fm.EigenStructure(values=values, rho_star=summary.rho_star, top_cluster=1),
@@ -164,11 +165,9 @@ def cmd_analyze(args):
             panel = panel_mod.regress_out(panel, factors)
         corr = panel_mod.pairwise_correlation(panel, min_overlap=args.min_overlap)
     deformed = False
-    if args.deform:
-        w = np.linalg.eigvalsh(corr.psi)
-        if w[0] <= PSD_TOL * max(w[-1], 1.0):
-            corr = panel_mod.deform_correlation(corr)
-            deformed = True
+    if args.deform and not corr.psd:
+        corr = panel_mod.deform_correlation(corr)
+        deformed = True
     signs = None
     if not args.raw_basis:
         sign_vec, corr = panel_mod.canonicalize_signs(corr)
@@ -192,8 +191,7 @@ def cmd_analyze(args):
 
 def cmd_clusters(args):
     corr = panel_mod.load_correlation(args.input)
-    w = np.linalg.eigvalsh(corr.psi)
-    if w[0] <= PSD_TOL * max(w[-1], 1.0):
+    if not corr.psd:
         if not args.deform:
             raise ValidationError(
                 "correlation matrix is not positive definite; pass --deform"
@@ -350,12 +348,23 @@ def main(argv=None):
     # --config supplies defaults for the flags of the chosen subcommand
     if "--config" in argv:
         idx = argv.index("--config")
+        if idx + 1 == len(argv):
+            print("error: --config needs a JSON file path", file=sys.stderr)
+            return 2
         cfg_path = argv[idx + 1]
         if not os.path.exists(cfg_path):
             print(f"error: config file not found: {cfg_path}", file=sys.stderr)
             return 2
-        with open(cfg_path) as fh:
-            cfg = {k.replace("-", "_"): v for k, v in json.load(fh).items()}
+        try:
+            with open(cfg_path) as fh:
+                doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            print(f"error: {cfg_path}: not valid JSON ({exc})", file=sys.stderr)
+            return 2
+        if not isinstance(doc, dict):
+            print(f"error: {cfg_path}: config must be a JSON object", file=sys.stderr)
+            return 2
+        cfg = {k.replace("-", "_"): v for k, v in doc.items()}
         for action in parser._subparsers._group_actions:
             for sp in action.choices.values():
                 sp.set_defaults(**{k: v for k, v in cfg.items()
@@ -366,7 +375,7 @@ def main(argv=None):
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
+    except (NumericalError, np.linalg.LinAlgError, ArpackError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .panel import PSD_TOL, FLOAT_FMT
+from .eigen import PSD_TOL
+from .panel import FLOAT_FMT
 
 # Residual variance below which a sweep step is skipped.
 RESIDUAL_VAR_FLOOR = 1e-10
@@ -84,8 +85,7 @@ def lower_bound_from_psi(n, psi_star):
 
 def lower_bound_F(corr):
     """Lower-bound the cluster count by N over the largest eigenvalue."""
-    w = np.linalg.eigvalsh(corr.psi)
-    return lower_bound_from_psi(corr.n, w[-1])
+    return lower_bound_from_psi(corr.n, corr.top_pair()[0])
 
 
 def residual_correlation_sweep(corr, k_max, loadings=None):
@@ -95,40 +95,44 @@ def residual_correlation_sweep(corr, k_max, loadings=None):
 
     `loadings` overrides the principal components with caller-supplied
     columns. Steps with a residual variance below the floor are skipped.
+
+    For principal components the residual is exact as a running rank-1
+    downdate, (I - V V^T) Psi (I - V V^T) = Psi - sum_{j<=K} w_j v_j v_j^T,
+    which keeps Psi's symmetry, so the mean and median are taken over the
+    upper triangle (the same values as over all off-diagonal entries).
     """
     psi = corr.psi
     n = corr.n
     if k_max < 1 or k_max >= n:
         raise ValidationError(f"need 1 <= k_max < N, got k_max={k_max}, N={n}")
-    w, v = np.linalg.eigh(psi)
-    if w[0] <= PSD_TOL * max(w[-1], 1.0):
+    if not corr.psd:
         raise ValidationError(
             "correlation matrix is not positive definite; deform it first"
         )
+    w, v = corr.spectrum
     rank_used = int(np.sum(w > PSD_TOL * max(w[-1], 1.0)))
     order = np.argsort(w)[::-1]
-    pcs = v[:, order]
 
-    off = ~np.eye(n, dtype=bool)
+    upper = np.triu_indices(n, 1)
+    resid = psi.copy()
     ks, z1s, z2s, skipped = [], [], [], []
     for k in range(1, k_max + 1):
         if loadings is not None:
             lam = np.asarray(loadings, dtype=float)[:, :k]
             y = lam @ np.linalg.solve(lam.T @ lam, lam.T)
+            resid = (np.eye(n) - y) @ psi @ (np.eye(n) - y)
         else:
-            lam = pcs[:, :k]
-            y = lam @ lam.T
-        resid = (np.eye(n) - y) @ psi @ (np.eye(n) - y)
+            pc = v[:, order[k - 1]]
+            resid -= w[order[k - 1]] * np.outer(pc, pc)
         var = np.diag(resid)
         if np.any(var < RESIDUAL_VAR_FLOOR):
             skipped.append(k)
             continue
         scale = np.sqrt(var)
-        corr_resid = resid / np.outer(scale, scale)
-        vals = corr_resid[off]
+        vals = resid[upper] / (scale[upper[0]] * scale[upper[1]])
         ks.append(k)
         z1s.append(float(np.mean(vals)))
-        z2s.append(float(np.median(vals)))
+        z2s.append(float(np.median(vals, overwrite_input=True)))
     return SweepCurve(ks=ks, zeta1=z1s, zeta2=z2s, rank_used=rank_used, skipped=skipped)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import NumericalError, ValidationError
-from .panel import CorrelationMatrix, _is_psd
+from .panel import CorrelationMatrix
 from . import spectral as spectral_mod
 
 
@@ -219,7 +219,7 @@ class NonbinaryBound:
 
 def build_covariance(model):
     """Assemble Gamma = diag(xi^2) + Omega Phi Omega^T and its correlation
-    matrix."""
+    matrix (spectrum not yet computed)."""
     gamma = np.diag(model.xi**2) + model.omega @ model.phi_cov @ model.omega.T
     var = np.diag(gamma)
     if np.any(var <= 0):
@@ -229,7 +229,7 @@ def build_covariance(model):
     psi = gamma / np.outer(sig, sig)
     psi = (psi + psi.T) / 2.0
     np.fill_diagonal(psi, 1.0)
-    corr = CorrelationMatrix(psi=psi, vols=sig, psd=_is_psd(psi))
+    corr = CorrelationMatrix(psi=psi, vols=sig)
     return gamma, corr
 
 
@@ -378,10 +378,13 @@ def nonbinary_eigenvectors(model):
     return lam @ vecs[:, order] / np.sqrt(w[order])[None, :]
 
 
-def dense_rho_star(model):
-    """Oracle path: assemble the full correlation matrix and delegate to the
-    spectral solver."""
-    _, corr = build_covariance(model)
+def dense_rho_star(model, corr=None):
+    """Oracle path: assemble the full correlation matrix (or take `corr`,
+    the model's already built one) and delegate to the spectral solver,
+    with the top pair taken from the dense spectrum."""
+    if corr is None:
+        _, corr = build_covariance(model)
+    corr.spectrum  # cache the dense spectrum, so that no Lanczos is used
     return spectral_mod.spectral_summary(corr)
 
 

@@ -8,17 +8,15 @@ Missing values are carried as NaN throughout.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import eigen
 from .errors import ValidationError
-
-# Relative eigenvalue floor below which a correlation matrix is treated as
-# not positive definite.
-PSD_TOL = 1e-10
 
 FLOAT_FMT = "%.17g"
 
@@ -70,19 +68,20 @@ class AlphaPanel:
         return self.values.shape[0]
 
 
-@dataclass
 class CorrelationMatrix:
-    """Symmetric unit-diagonal correlation matrix with companion volatilities."""
+    """Symmetric unit-diagonal correlation matrix with companion volatilities.
 
-    psi: np.ndarray
-    vols: np.ndarray
-    psd: bool
-    min_overlap: int = 0
-    labels: list = field(default=None)
+    Every consumer reads the eigendecomposition through `spectrum`, which
+    is computed on first use and cached, so one matrix costs one O(N^3)
+    solve. `top_pair()` needs only the top eigenpair and takes it from the
+    cached spectrum, or by Lanczos when there is none. `psd` follows from
+    the spectrum unless the constructor is told. Nothing is computed at
+    construction.
+    """
 
-    def __post_init__(self):
-        self.psi = np.asarray(self.psi, dtype=float)
-        self.vols = np.asarray(self.vols, dtype=float)
+    def __init__(self, psi, vols, psd=None, min_overlap=0, labels=None, spectrum=None):
+        self.psi = np.asarray(psi, dtype=float)
+        self.vols = np.asarray(vols, dtype=float)
         n = self.psi.shape[0]
         if self.psi.shape != (n, n):
             raise ValidationError("correlation matrix must be square")
@@ -94,12 +93,40 @@ class CorrelationMatrix:
             raise ValidationError("off-diagonal correlations must lie in [-1, 1]")
         if self.vols.shape != (n,) or np.any(self.vols <= 0):
             raise ValidationError("volatilities must be positive, one per alpha")
-        if self.labels is None:
-            self.labels = [f"a{i + 1}" for i in range(n)]
+        self.min_overlap = min_overlap
+        self.labels = [f"a{i + 1}" for i in range(n)] if labels is None else labels
+        self._psd = psd
+        self._spectrum = spectrum
+        self._top = None
 
     @property
     def n(self):
         return self.psi.shape[0]
+
+    @property
+    def spectrum(self):
+        """Ascending eigenvalues and orthonormal eigenvectors, (w, v), from
+        np.linalg.eigh on first access."""
+        if self._spectrum is None:
+            self._spectrum = np.linalg.eigh(self.psi)
+        return self._spectrum
+
+    @property
+    def psd(self):
+        if self._psd is None:
+            self._psd = eigen.is_positive_definite(self.spectrum[0])
+        return self._psd
+
+    def top_pair(self):
+        """(psi1, V1) under the tie rule of eigen.top_eigenvector; V1 has a
+        nonnegative sum. Taken from the cached spectrum when there is one,
+        otherwise by Lanczos, with the full spectrum as the fallback."""
+        if self._top is None:
+            if self._spectrum is None:
+                self._top = eigen.lanczos_top_pair(self.psi)
+            if self._top is None:
+                self._top = eigen.top_eigenvector(*self.spectrum)
+        return self._top
 
 
 @dataclass
@@ -111,8 +138,7 @@ class SignVector:
 
 
 def _is_psd(psi):
-    w = np.linalg.eigvalsh(psi)
-    return bool(w[0] > PSD_TOL * max(w[-1], 1.0))
+    return eigen.is_positive_definite(np.linalg.eigvalsh(psi))
 
 
 def load_panel(path, na_policy="empty_cell"):
@@ -145,11 +171,16 @@ def load_panel(path, na_policy="empty_cell"):
                 vals.append(np.nan)
             else:
                 try:
-                    vals.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise ValidationError(
                         f"{path}: row {r}, column {c}: cannot parse {cell!r}"
                     ) from None
+                if not math.isfinite(value):
+                    raise ValidationError(
+                        f"{path}: row {r}, column {c}: non-finite value {cell!r}"
+                    )
+                vals.append(value)
         data.append(vals)
     return AlphaPanel(labels=labels, times=times, values=np.array(data))
 
@@ -171,6 +202,10 @@ def _atomic_write(path, text):
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -230,7 +265,6 @@ def pairwise_correlation(panel, min_overlap=12):
     return CorrelationMatrix(
         psi=psi,
         vols=vols,
-        psd=_is_psd(psi),
         min_overlap=int(cnt.min()),
         labels=list(panel.labels),
     )
@@ -268,7 +302,8 @@ def canonicalize_signs(corr, max_passes=None):
 
     Scans indices in ascending order and flips any sign whose row sum is
     negative; stops after a full pass with no flip. Returns the sign vector
-    and the re-signed matrix.
+    and the re-signed matrix S Psi S, which carries over a cached spectrum:
+    its eigenvalues are Psi's and its eigenvectors S V.
     """
     psi = corr.psi
     n = corr.n
@@ -288,12 +323,17 @@ def canonicalize_signs(corr, max_passes=None):
     np.fill_diagonal(new_psi, 1.0)
     objective = float(s @ psi @ s)
     sign_vec = SignVector(signs=s.copy(), objective=objective)
+    spectrum = None
+    if corr._spectrum is not None:
+        w, v = corr._spectrum
+        spectrum = (w, s[:, None] * v)
     new_corr = CorrelationMatrix(
         psi=new_psi,
         vols=corr.vols.copy(),
-        psd=corr.psd,
+        psd=corr._psd,
         min_overlap=corr.min_overlap,
         labels=list(corr.labels),
+        spectrum=spectrum,
     )
     return sign_vec, new_corr
 
@@ -302,8 +342,7 @@ def deform_correlation(corr, noise_floor=1e-10):
     """Make a correlation matrix positive definite by replacing every
     eigenvalue at or below noise_floor * lambda_max with the smallest
     eigenvalue above that threshold, then rescaling to unit diagonal."""
-    psi = corr.psi
-    w, v = np.linalg.eigh(psi)
+    w, v = corr.spectrum
     thresh = noise_floor * w[-1]
     keep = w > thresh
     if not keep.any():
@@ -319,7 +358,6 @@ def deform_correlation(corr, noise_floor=1e-10):
     return CorrelationMatrix(
         psi=psi_new,
         vols=corr.vols.copy(),
-        psd=True,
         min_overlap=corr.min_overlap,
         labels=list(corr.labels),
     )
@@ -338,7 +376,6 @@ def load_correlation(path):
     if len(rows) != n + 1:
         raise ValidationError(f"{path}: expected {n} matrix rows, got {len(rows) - 1}")
     psi = np.empty((n, n))
-    vols = np.ones(n)
     for r, row in enumerate(rows[1:]):
         if len(row) != n + 1 or row[0] != labels[r]:
             raise ValidationError(f"{path}: row {r + 2} does not match header labels")
@@ -348,9 +385,25 @@ def load_correlation(path):
             raise ValidationError(
                 f"{path}: row {r + 2} contains a non-numeric cell"
             ) from None
+    del rows
+    bad = np.argwhere(~np.isfinite(psi))
+    if bad.size:
+        r, c = bad[0]
+        raise ValidationError(
+            f"{path}: row {r + 2}, column {c + 2}: non-finite value {float(psi[r, c])}"
+        )
+    asym = np.abs(psi - psi.T)
+    i, j = np.unravel_index(np.argmax(asym), asym.shape)
+    if asym[i, j] > 1e-12:
+        raise ValidationError(
+            f"{path}: matrix is not symmetric: ({labels[i]}, {labels[j]}) is "
+            f"{float(psi[i, j])!r} but ({labels[j]}, {labels[i]}) is {float(psi[j, i])!r}"
+        )
+    del asym
+    # within the tolerance: make the matrix exactly symmetric
     psi = (psi + psi.T) / 2.0
     np.fill_diagonal(psi, 1.0)
-    return CorrelationMatrix(psi=psi, vols=vols, psd=_is_psd(psi), labels=labels)
+    return CorrelationMatrix(psi=psi, vols=np.ones(n), labels=labels)
 
 
 def save_correlation(corr, path):

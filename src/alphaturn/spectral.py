@@ -11,10 +11,6 @@ import numpy as np
 from .errors import ValidationError
 from . import panel as panel_mod
 
-# Relative gap below which eigenvalues are treated as a degenerate top
-# eigenspace.
-DEGEN_TOL = 1e-10
-
 
 @dataclass
 class SpectralSummary:
@@ -59,39 +55,21 @@ class TurnoverInputs:
             raise ValidationError("taus and weights must have the same length")
 
 
-def _top_eigenvector(w, v):
-    """Top eigenvector; within a degenerate top eigenspace, the direction
-    obtained by projecting the uniform vector (falls back to the last
-    eigenvector when the projection vanishes)."""
-    n = len(w)
-    psi1 = w[-1]
-    degen = w >= psi1 - DEGEN_TOL * max(psi1, 1.0)
-    basis = v[:, degen]
-    if basis.shape[1] == 1:
-        vec = basis[:, 0]
-    else:
-        coeff = basis.T @ np.ones(n)
-        if np.linalg.norm(coeff) > 1e-8:
-            vec = basis @ coeff
-        else:
-            vec = basis[:, -1]
-    vec = vec / np.linalg.norm(vec)
-    if np.sum(vec) < 0:
-        vec = -vec
-    return psi1, vec
-
-
 def spectral_summary(corr, canonicalize=False):
     """Compute the top eigenpair and the turnover-reduction coefficient
-    rho_star = psi1 * |sum(V1)| / N^(3/2)."""
+    rho_star = psi1 * |sum(V1)| / N^(3/2).
+
+    The pair comes from `corr.top_pair()`: the matrix's cached spectrum
+    when there is one, otherwise Lanczos (dense eigh when Lanczos cannot
+    settle the top)."""
     if canonicalize:
         _, corr = panel_mod.canonicalize_signs(corr)
     psi = corr.psi
     n = corr.n
     if np.max(np.abs(psi - psi.T)) > 1e-12:
         raise ValidationError("matrix must be symmetric")
-    w, v = np.linalg.eigh(psi)
-    psi1, v1 = _top_eigenvector(w, v)
+    psi1, v1 = corr.top_pair()
+    v1 = v1.copy()
     rho_star = psi1 * abs(np.sum(v1)) / n**1.5
     total = float(np.sum(psi))
     rho_prime = total / n**2

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from alphaturn import cli
 from alphaturn import factor_model as fm
@@ -79,6 +80,62 @@ class TestAnalyze:
         assert run(
             ["--config", str(cfg), "analyze", str(path), "--out", str(out)]
         ) == 0
+
+    def test_nan_correlation_cell_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "corr.csv"
+        path.write_text(",a,b,c\na,1,0.2,nan\nb,0.2,1,0.3\nc,nan,0.3,1\n")
+        assert run(["analyze", str(path), "--corr"]) == 2
+        err = capsys.readouterr().err
+        assert "corr.csv: row 2, column 4: non-finite value nan" in err
+
+    def test_inf_panel_cell_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "panel.csv"
+        path.write_text("time,a,b\n1,0.1,0.2\n2,inf,0.1\n3,0.3,0.2\n")
+        assert run(["analyze", str(path), "--min-overlap", "2"]) == 2
+        assert "panel.csv: row 3, column 2: non-finite value 'inf'" in capsys.readouterr().err
+
+    def test_asymmetric_correlation_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "corr.csv"
+        path.write_text(",a,b\na,1,0.9\nb,-0.5,1\n")
+        assert run(["analyze", str(path), "--corr"]) == 2
+        assert "(a, b) is 0.9 but (b, a) is -0.5" in capsys.readouterr().err
+
+    def test_config_as_last_argument_exit_2(self, tmp_path, capsys):
+        assert run(["analyze", str(tmp_path / "p.csv"), "--config"]) == 2
+        assert "--config needs a JSON file path" in capsys.readouterr().err
+
+    def test_malformed_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{min-overlap: 3")
+        assert run(["--config", str(cfg), "analyze", str(tmp_path / "p.csv")]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_non_object_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[3]")
+        assert run(["--config", str(cfg), "analyze", str(tmp_path / "p.csv")]) == 2
+        assert "must be a JSON object" in capsys.readouterr().err
+
+    def test_linalg_error_exit_3(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "corr.csv"
+        write_corr(path, np.eye(4))
+
+        def boom(*a, **k):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", boom)
+        assert run(["analyze", str(path), "--corr", "--deform"]) == 3
+        assert "did not converge" in capsys.readouterr().err
+
+    def test_arpack_no_convergence_exit_3(self, tmp_path, monkeypatch):
+        path = tmp_path / "corr.csv"
+        write_corr(path, np.eye(4))
+
+        def boom(*a, **k):
+            raise ArpackNoConvergence("forced", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(cli.spectral_mod, "spectral_summary", boom)
+        assert run(["analyze", str(path), "--corr"]) == 3
 
 
 class TestClusters:

@@ -1,0 +1,294 @@
+"""The shared spectral core: one cached eigendecomposition per correlation
+matrix, the Lanczos top pair, and the rank-1-downdate sweep, each checked
+against the dense path it replaces."""
+
+import json
+
+import numpy as np
+import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
+
+from alphaturn import cli
+from alphaturn import clusters as cl
+from alphaturn import eigen
+from alphaturn import factor_model as fm
+from alphaturn import panel as pm
+from alphaturn import spectral as sp
+
+def fresh(psi):
+    """A correlation matrix with nothing computed yet."""
+    return pm.CorrelationMatrix(psi=psi, vols=np.ones(psi.shape[0]))
+
+
+def random_corr(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((2 * n, n)) + 0.4 * rng.standard_normal((2 * n, 1))
+    psi = np.corrcoef(a.T)
+    psi = (psi + psi.T) / 2.0
+    np.fill_diagonal(psi, 1.0)
+    return psi
+
+
+def block_corr(sizes, rhos):
+    """Binary clusters with within-cluster correlation rhos[a]."""
+    n = sum(sizes)
+    psi = np.zeros((n, n))
+    start = 0
+    for size, rho in zip(sizes, rhos):
+        psi[start:start + size, start:start + size] = rho
+        start += size
+    np.fill_diagonal(psi, 1.0)
+    return psi
+
+
+def cluster_corr_csv(path, n, m=60, clusters=6, seed=3):
+    """Sample correlation of m < n observations: rank-deficient, with a
+    simple top eigenvalue."""
+    rng = np.random.default_rng(seed)
+    asg = np.arange(n) % clusters
+    factors = rng.standard_normal((m, clusters)) + 0.5 * rng.standard_normal((m, 1))
+    values = factors[:, asg] + 0.8 * rng.standard_normal((m, n))
+    psi = np.corrcoef(values.T)
+    psi = (psi + psi.T) / 2.0
+    np.fill_diagonal(psi, 1.0)
+    pm.save_correlation(pm.CorrelationMatrix(psi=psi, vols=np.ones(n)), path)
+
+
+def dense_top(psi):
+    return eigen.top_eigenvector(*np.linalg.eigh(psi))
+
+
+MATRICES = {
+    "random": lambda n: random_corr(n, seed=n),
+    "identity": lambda n: np.eye(n),
+    "equal_blocks": lambda n: block_corr([n // 4] * 4, [0.4] * 4),
+    # two clusters of different sizes tie at 5.5 above n - 29 weaker ones
+    "unequal_tie": lambda n: block_corr([10, 19] + [1] * (n - 29), [0.5, 0.25] + [0.0] * (n - 29)),
+}
+
+
+class TestTopPair:
+    @pytest.mark.parametrize("kind", sorted(MATRICES))
+    @pytest.mark.parametrize("n", [40, 160])
+    def test_matches_dense_tie_rule(self, kind, n):
+        psi = MATRICES[kind](n)
+        psi1, v1 = fresh(psi).top_pair()
+        want1, want_v = dense_top(psi)
+        assert psi1 == pytest.approx(want1, rel=1e-12)
+        np.testing.assert_allclose(v1, want_v, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("kind", ["random", "identity", "equal_blocks"])
+    @pytest.mark.parametrize("n", [6, 20])
+    def test_small_n_matches_dense_tie_rule(self, kind, n):
+        # below N = 4 * LANCZOS_MAX_K the block stops growing early
+        psi = MATRICES[kind](n)
+        psi1, v1 = fresh(psi).top_pair()
+        want1, want_v = dense_top(psi)
+        assert psi1 == pytest.approx(want1, rel=1e-12)
+        np.testing.assert_allclose(v1, want_v, rtol=0, atol=1e-10)
+
+    def test_lanczos_serves_simple_top(self):
+        psi = random_corr(160, seed=1)
+        assert eigen.lanczos_top_pair(psi) is not None
+        assert eigen.lanczos_top_pair(psi[:20, :20]) is not None
+        # no block of k >= 2 fits below N / 4
+        assert eigen.lanczos_top_pair(psi[:7, :7]) is None
+
+    def test_block_grows_below_tied_top(self, monkeypatch):
+        # four tied clusters: the block must grow past the 4 top copies
+        ks = []
+        real = eigen.eigsh
+
+        def recorded(*args, k, **kwargs):
+            ks.append(k)
+            return real(*args, k=k, **kwargs)
+
+        monkeypatch.setattr(eigen, "eigsh", recorded)
+        psi = MATRICES["equal_blocks"](160)
+        psi1, v1 = eigen.lanczos_top_pair(psi)
+        assert max(ks) > 4
+        np.testing.assert_allclose(v1, dense_top(psi)[1], rtol=0, atol=1e-10)
+
+    def test_top_orthogonal_to_start_vector(self):
+        # Lanczos starts from the uniform vector; a top eigenvector with
+        # zero sum must still be found
+        rng = np.random.default_rng(9)
+        n = 160
+        a = rng.standard_normal((n, n))
+        u = rng.standard_normal(n)
+        u -= u.mean()
+        u /= np.linalg.norm(u)
+        proj = np.eye(n) - np.outer(u, u)
+        psi = proj @ (a @ a.T / n) @ proj + 4.2 * np.outer(u, u)
+        psi = (psi + psi.T) / 2.0
+        psi1, v1 = eigen.lanczos_top_pair(psi)
+        want1, want_v = dense_top(psi)
+        assert psi1 == pytest.approx(want1, rel=1e-12)
+        assert abs(v1 @ want_v) == pytest.approx(1.0, abs=1e-10)
+
+    def test_fully_degenerate_top_stops_at_max_k(self, monkeypatch):
+        # the identity's top eigenspace fills every block Lanczos computes;
+        # the block stops growing at LANCZOS_MAX_K and dense eigh takes over
+        ks = []
+        real = eigen.eigsh
+
+        def recorded(*args, k, **kwargs):
+            ks.append(k)
+            return real(*args, k=k, **kwargs)
+
+        monkeypatch.setattr(eigen, "eigsh", recorded)
+        assert eigen.lanczos_top_pair(np.eye(1000)) is None
+        assert ks == [2, 4, 8] and ks[-1] == eigen.LANCZOS_MAX_K
+
+    def test_arpack_failure_falls_back_to_dense(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ArpackNoConvergence("forced", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(eigen, "eigsh", fail)
+        psi = random_corr(160, seed=2)
+        corr = fresh(psi)
+        psi1, v1 = corr.top_pair()
+        want1, want_v = dense_top(psi)
+        assert psi1 == want1
+        np.testing.assert_array_equal(v1, want_v)
+
+    def test_cached_spectrum_is_used(self):
+        corr = fresh(random_corr(160, seed=3))
+        w, v = corr.spectrum
+        psi1, v1 = corr.top_pair()
+        want1, want_v = eigen.top_eigenvector(w, v)
+        assert psi1 == want1
+        np.testing.assert_array_equal(v1, want_v)
+
+
+class TestSpectrumCache:
+    def test_constructors_and_loaders_compute_nothing(self, tmp_path, monkeypatch):
+        path = tmp_path / "corr.csv"
+        pm.save_correlation(fresh(random_corr(20, seed=4)), path)
+        model = fm.ClusterSpec.from_sizes([3, 4]).to_factor_model()
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append("eigh"))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append("eigvalsh"))
+        pm.load_correlation(path)
+        fm.build_covariance(model)
+        assert calls == []
+
+    def test_psd_follows_spectrum(self):
+        assert fresh(random_corr(20, seed=5)).psd
+        assert not fresh(np.ones((4, 4))).psd
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_canonicalize_carries_spectrum(self, seed):
+        rng = np.random.default_rng(seed)
+        flip = np.where(rng.random(40) < 0.4, -1.0, 1.0)
+        psi = random_corr(40, seed) * np.outer(flip, flip)
+        np.fill_diagonal(psi, 1.0)
+        corr = fresh(psi)
+        w, v = corr.spectrum
+        signs, new = pm.canonicalize_signs(corr)
+        w2, v2 = new._spectrum
+        np.testing.assert_array_equal(w2, w)
+        np.testing.assert_allclose(new.psi @ v2, v2 * w2, rtol=0, atol=1e-12)
+        carried = sp.spectral_summary(new)
+        direct = sp.spectral_summary(fresh(new.psi.copy()))
+        assert carried.rho_star == pytest.approx(direct.rho_star, rel=1e-12)
+        np.testing.assert_allclose(carried.v1, direct.v1, rtol=0, atol=1e-12)
+
+    def test_dense_oracle_never_uses_lanczos(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the dense oracle called eigsh")
+
+        monkeypatch.setattr(eigen, "eigsh", fail)
+        model = fm.ClusterSpec.from_sizes([20, 30, 40]).to_factor_model()
+        summary = fm.dense_rho_star(model)
+        _, corr = fm.build_covariance(model)
+        want1, want_v = dense_top(corr.psi)
+        assert summary.psi1 == want1
+        np.testing.assert_array_equal(summary.v1, want_v)
+
+    def test_canonicalize_without_spectrum_computes_nothing(self):
+        _, new = pm.canonicalize_signs(fresh(random_corr(20, seed=6)))
+        assert new._spectrum is None and new._psd is None
+
+
+class TestDowndateSweep:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_projection_with_top_pcs(self, seed):
+        n, k_max = 40, 12
+        corr = fresh(random_corr(n, seed))
+        w, v = np.linalg.eigh(corr.psi)
+        pcs = v[:, np.argsort(w)[::-1]][:, :k_max]
+        fast = cl.residual_correlation_sweep(corr, k_max)
+        slow = cl.residual_correlation_sweep(fresh(corr.psi.copy()), k_max, loadings=pcs)
+        assert fast.ks == slow.ks and fast.skipped == slow.skipped
+        assert fast.rank_used == slow.rank_used
+        np.testing.assert_allclose(fast.zeta1, slow.zeta1, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fast.zeta2, slow.zeta2, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matches_full_off_diagonal_reference(self, seed):
+        # the projection formula with statistics over every off-diagonal entry
+        n, k_max = 30, 8
+        psi = random_corr(n, seed)
+        w, v = np.linalg.eigh(psi)
+        pcs = v[:, np.argsort(w)[::-1]]
+        eye, off = np.eye(n), ~np.eye(n, dtype=bool)
+        z1, z2 = [], []
+        for k in range(1, k_max + 1):
+            y = pcs[:, :k] @ pcs[:, :k].T
+            resid = (eye - y) @ psi @ (eye - y)
+            scale = np.sqrt(np.diag(resid))
+            vals = (resid / np.outer(scale, scale))[off]
+            z1.append(np.mean(vals))
+            z2.append(np.median(vals))
+        fast = cl.residual_correlation_sweep(fresh(psi), k_max)
+        assert fast.ks == list(range(1, k_max + 1))
+        np.testing.assert_allclose(fast.zeta1, z1, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fast.zeta2, z2, rtol=0, atol=1e-12)
+
+
+class TestDecompositionBudget:
+    """N x N eigendecompositions made by one CLI command."""
+
+    def count(self, monkeypatch, n, argv):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+
+            def counted(a, *args, _real=real, **kwargs):
+                if np.shape(a) == (n, n):
+                    calls.append(np.shape(a))
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        assert cli.main(argv) == 0
+        return len(calls)
+
+    def test_analyze_corr_deform(self, tmp_path, monkeypatch):
+        n = 150
+        path = tmp_path / "corr.csv"
+        cluster_corr_csv(path, n)
+        out = tmp_path / "out.json"
+        argv = ["analyze", str(path), "--corr", "--deform", "--out", str(out)]
+        assert self.count(monkeypatch, n, argv) == 1
+        assert json.loads(out.read_text())["deformed"] is True
+
+    def test_clusters_deform(self, tmp_path, monkeypatch):
+        n = 150
+        path = tmp_path / "corr.csv"
+        cluster_corr_csv(path, n)
+        argv = ["clusters", str(path), "--kmax", "5", "--deform",
+                "--out", str(tmp_path / "sweep.csv")]
+        assert self.count(monkeypatch, n, argv) == 2
+
+    def test_model_dense_fallback(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(8)
+        n, f = 40, 4
+        doc = {"mode": "dense", "omega": (rng.random((n, f)) + 0.2).tolist(),
+               "phi": [1.0] * f, "xi": rng.uniform(0.2, 0.6, n).tolist()}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "eig.json"
+        argv = ["model", str(path), "--op", "eigen", "--out", str(out)]
+        assert self.count(monkeypatch, n, argv) == 1
+        assert json.loads(out.read_text())["method"] == "dense"

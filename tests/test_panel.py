@@ -1,4 +1,6 @@
 import itertools
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -69,6 +71,63 @@ class TestLoadPanel:
         pm.save_panel(panel, path)
         back = pm.load_panel(path)
         assert np.allclose(back.values, vals, equal_nan=True)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        p = tmp_path / "panel.csv"
+        p.write_text(f"time,a,b\n1,0.1,0.2\n2,0.2,{cell}\n3,0.3,0.1\n")
+        with pytest.raises(ValidationError, match=r"panel.csv: row 3, column 3: non-finite"):
+            pm.load_panel(p)
+
+
+def _write_corr_text(path, labels, rows):
+    lines = ["," + ",".join(labels)]
+    lines += [lab + "," + ",".join(row) for lab, row in zip(labels, rows)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestLoadCorrelation:
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        p = tmp_path / "corr.csv"
+        _write_corr_text(p, ["a", "b", "c"], [["1", "0.2", "0.1"], ["0.2", "1", cell],
+                                              ["0.1", cell, "1"]])
+        with pytest.raises(ValidationError, match=r"corr.csv: row 3, column 4: non-finite"):
+            pm.load_correlation(p)
+
+    def test_asymmetric_matrix_names_worst_pair(self, tmp_path):
+        p = tmp_path / "corr.csv"
+        _write_corr_text(p, ["a", "b", "c"], [["1", "0.9", "0.1"], ["-0.5", "1", "0.3"],
+                                              ["0.1", "0.3", "1"]])
+        with pytest.raises(ValidationError, match=r"not symmetric: \(a, b\) is 0.9 but \(b, a\) is -0.5"):
+            pm.load_correlation(p)
+
+    def test_asymmetry_within_tolerance_is_averaged(self, tmp_path):
+        p = tmp_path / "corr.csv"
+        _write_corr_text(p, ["a", "b"], [["1", "0.3"], ["0.3000000000000005", "1"]])
+        corr = pm.load_correlation(p)
+        assert corr.psi[0, 1] == corr.psi[1, 0]
+        assert corr.psi[0, 1] == pytest.approx(0.3, abs=1e-15)
+
+    def test_roundtrip(self, tmp_path):
+        rng = np.random.default_rng(3)
+        psi = np.corrcoef(rng.standard_normal((4, 12)))
+        p = tmp_path / "corr.csv"
+        pm.save_correlation(make_corr(psi), p)
+        back = pm.load_correlation(p)
+        np.testing.assert_array_equal(back.psi, make_corr(psi).psi)
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    def test_mode_follows_umask(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            pm._atomic_write(tmp_path / "out.txt", "x\n")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(tmp_path / "out.txt").st_mode) == mode
+        assert [f.name for f in tmp_path.iterdir()] == ["out.txt"]
 
 
 class TestPairwiseCorrelation:
