@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 
@@ -23,23 +22,8 @@ from . import factor_model as fm
 from . import panel as panel_mod
 from . import spectral as spectral_mod
 from . import synth as synth_mod
+from .factor_model import model_eigenstructure
 from .panel import FLOAT_FMT, _atomic_write
-
-MODEL_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "mode": {"enum": ["binary", "dense"]},
-        "sizes": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        "assignment": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        "phi": {"type": "array"},
-        "xi": {"type": "array", "items": {"type": "number", "minimum": 0}},
-        "omega": {
-            "type": "array",
-            "items": {"type": "array", "items": {"type": "number"}},
-        },
-    },
-    "required": ["mode", "phi"],
-}
 
 
 def _emit(text, out_path):
@@ -52,8 +36,6 @@ def _emit(text, out_path):
 def _load_model(path):
     if not os.path.exists(path):
         raise ValidationError(f"model file not found: {path}")
-    import jsonschema
-
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -61,21 +43,7 @@ def _load_model(path):
         raise ValidationError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: model document must be a JSON object")
-    validator = jsonschema.Draft7Validator(MODEL_SCHEMA)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        pointer = "/" + "/".join(str(p) for p in err.absolute_path)
-        raise ValidationError(f"model schema violation at {pointer}: {err.message}")
-    if doc["mode"] == "binary" and "assignment" not in doc and "sizes" in doc:
-        sizes = doc["sizes"]
-        doc["assignment"] = [
-            a + 1 for a, sz in enumerate(sizes) for _ in range(sz)
-        ]
-    try:
-        return fm.FactorModel.from_json(json.dumps(doc))
-    except KeyError as exc:
-        raise ValidationError(f"model schema violation at /{exc.args[0]}: missing") from None
+    return fm.FactorModel.from_doc(doc)
 
 
 def load_loadings_csv(path, labels):
@@ -92,67 +60,17 @@ def load_loadings_csv(path, labels):
         if len(row) != 2:
             raise ValidationError(f"{path}: row {r} must have 2 fields")
         try:
-            mapping[row[0]] = int(row[1])
+            cluster = int(row[1])
         except ValueError:
-            raise ValidationError(f"{path}: row {r}: bad cluster id {row[1]!r}") from None
+            cluster = 0
+        if cluster < 1:
+            raise ValidationError(f"{path}: row {r}: bad cluster id {row[1]!r}")
+        mapping[row[0]] = cluster
     missing = [lab for lab in labels if lab not in mapping]
     if missing:
         raise ValidationError(f"{path}: no cluster for alpha {missing[0]!r}")
     assignment = np.array([mapping[lab] for lab in labels])
-    f = int(assignment.max())
-    omega = np.zeros((len(labels), f))
-    omega[np.arange(len(labels)), assignment - 1] = 1.0
-    return omega
-
-
-def _model_is_diagonal(model):
-    off = model.phi_cov - np.diag(np.diag(model.phi_cov))
-    return np.max(np.abs(off)) < 1e-15
-
-
-def model_eigenstructure(model):
-    """Dispatch to the applicable closed-form reduction, falling back to the
-    dense solver. Returns (EigenStructure, method_tag)."""
-    if model.mode == "binary":
-        assignment = np.argmax(model.omega, axis=1) + 1
-        sizes = np.bincount(assignment - 1, minlength=model.f)
-        if _model_is_diagonal(model):
-            spec = fm.ClusterSpec(
-                sizes=sizes,
-                assignment=assignment,
-                phi=np.diag(model.phi_cov),
-                xi=_cluster_xi(model, assignment, sizes),
-            )
-            return fm.binary_eigensystem(spec), "closed-form-binary"
-        if np.all(model.xi == 0):
-            d = np.sqrt(np.diag(model.phi_cov))
-            factor_corr = model.phi_cov / np.outer(d, d)
-            np.fill_diagonal(factor_corr, 1.0)
-            return fm.reduce_nondiagonal(sizes, factor_corr), "closed-form-nondiagonal"
-    elif np.all(model.xi == 0):
-        return fm.reduce_nonbinary(model), "reduced-nonbinary"
-    _, corr = fm.build_covariance(model)
-    summary = fm.dense_rho_star(model, corr)
-    w = corr.spectrum[0][::-1]
-    values = [(float(x), 1) for x in w]
-    return (
-        fm.EigenStructure(values=values, rho_star=summary.rho_star, top_cluster=1),
-        "dense",
-    )
-
-
-def _cluster_xi(model, assignment, sizes):
-    """Per-cluster specific risk; requires xi uniform within each cluster."""
-    xi = np.zeros(len(sizes))
-    for a in range(len(sizes)):
-        vals = model.xi[assignment == a + 1]
-        if vals.size and np.ptp(vals) > 1e-12:
-            raise ValidationError(
-                f"cluster {a + 1}: specific risk varies within the cluster; "
-                "use the dense path"
-            )
-        xi[a] = vals[0]
-    return xi
+    return fm.binary_loadings(assignment, int(assignment.max()))
 
 
 def cmd_analyze(args):
@@ -222,9 +140,11 @@ def cmd_model(args):
     elif args.op == "rho-curve":
         if model.mode != "binary":
             raise ValidationError("rho-curve requires a binary model")
-        assignment = np.argmax(model.omega, axis=1) + 1
-        sizes = np.bincount(assignment - 1, minlength=model.f)
-        grid = [float(x) for x in args.grid.split(",")]
+        try:
+            grid = [float(x) for x in args.grid.split(",")]
+        except ValueError as exc:
+            raise ValidationError(f"--grid: {exc}") from None
+        sizes = model.sizes
         lines = ["rho,psi_star"]
         for rho in grid:
             psi_star = fm.secular_roots(sizes, rho)[0]

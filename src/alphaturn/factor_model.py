@@ -19,6 +19,32 @@ from .errors import NumericalError, ValidationError
 from .panel import CorrelationMatrix
 from . import spectral as spectral_mod
 
+MODEL_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "mode": {"enum": ["binary", "dense"]},
+        "sizes": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+        "assignment": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+        "phi": {"type": "array"},
+        "xi": {"type": "array", "items": {"type": "number", "minimum": 0}},
+        "omega": {
+            "type": "array",
+            "items": {"type": "array", "items": {"type": "number"}},
+        },
+    },
+    "required": ["mode", "phi"],
+}
+
+
+def binary_loadings(assignment, f):
+    """N x F indicator loadings of 1-based cluster ids."""
+    assignment = np.asarray(assignment, dtype=int)
+    if assignment.size and not 1 <= assignment.min() <= assignment.max() <= f:
+        raise ValidationError(f"cluster ids must lie in 1..{f}")
+    omega = np.zeros((len(assignment), f))
+    omega[np.arange(len(assignment)), assignment - 1] = 1.0
+    return omega
+
 
 @dataclass
 class ClusterSpec:
@@ -71,11 +97,8 @@ class ClusterSpec:
         return self.xi**2 / self.phi
 
     def to_factor_model(self):
-        n, f = self.n, self.f
-        omega = np.zeros((n, f))
-        omega[np.arange(n), self.assignment - 1] = 1.0
         return FactorModel(
-            omega=omega,
+            omega=binary_loadings(self.assignment, self.f),
             phi_cov=np.diag(self.phi),
             xi=self.xi[self.assignment - 1],
             mode="binary",
@@ -85,12 +108,15 @@ class ClusterSpec:
 @dataclass
 class FactorModel:
     """Loadings, factor covariance and specific risks; assembles
-    Gamma = diag(xi^2) + Omega Phi Omega^T."""
+    Gamma = diag(xi^2) + Omega Phi Omega^T. `phi_chol` is the lower
+    Cholesky factor of Phi, computed once by the positive-definiteness
+    check."""
 
     omega: np.ndarray
     phi_cov: np.ndarray
     xi: np.ndarray
     mode: str = "dense"
+    phi_chol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.omega = np.asarray(self.omega, dtype=float)
@@ -101,8 +127,10 @@ class FactorModel:
             raise ValidationError("factor covariance shape does not match loadings")
         if np.max(np.abs(self.phi_cov - self.phi_cov.T)) > 1e-12:
             raise ValidationError("factor covariance must be symmetric")
-        if np.linalg.eigvalsh(self.phi_cov)[0] <= 0:
-            raise ValidationError("factor covariance must be positive definite")
+        try:
+            self.phi_chol = np.linalg.cholesky(self.phi_cov)
+        except np.linalg.LinAlgError:
+            raise ValidationError("factor covariance must be positive definite") from None
         if self.xi.shape != (n,) or np.any(self.xi < 0):
             raise ValidationError("specific risks must be nonnegative, one per alpha")
         if self.mode == "binary":
@@ -120,6 +148,16 @@ class FactorModel:
     def f(self):
         return self.omega.shape[1]
 
+    @property
+    def assignment(self):
+        """1-based cluster id of each alpha (binary models)."""
+        return np.argmax(self.omega, axis=1) + 1
+
+    @property
+    def sizes(self):
+        """Number of alphas in each cluster (binary models)."""
+        return np.bincount(self.assignment - 1, minlength=self.f)
+
     def to_json(self):
         doc = {
             "mode": self.mode,
@@ -127,33 +165,44 @@ class FactorModel:
             "xi": self.xi.tolist(),
         }
         if self.mode == "binary":
-            assignment = (np.argmax(self.omega, axis=1) + 1).tolist()
-            doc["assignment"] = assignment
-            doc["sizes"] = np.bincount(
-                np.asarray(assignment) - 1, minlength=self.f
-            ).tolist()
+            doc["assignment"] = self.assignment.tolist()
+            doc["sizes"] = self.sizes.tolist()
         else:
             doc["omega"] = self.omega.tolist()
         return json.dumps(doc)
 
     @classmethod
     def from_json(cls, text):
-        doc = json.loads(text)
-        mode = doc.get("mode", "dense")
+        return cls.from_doc(json.loads(text))
+
+    @classmethod
+    def from_doc(cls, doc):
+        """Model from a parsed model document, checked against MODEL_SCHEMA.
+        A binary document gives its 1-based cluster ids as `assignment`, or
+        as `sizes` for consecutive runs of alphas."""
+        import jsonschema  # slow to import, so only where a model is read
+
+        validator = jsonschema.Draft7Validator(MODEL_SCHEMA)
+        errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+        if errors:
+            err = errors[0]
+            pointer = "/" + "/".join(str(p) for p in err.absolute_path)
+            raise ValidationError(f"model schema violation at {pointer}: {err.message}")
+        if doc["mode"] == "binary" and "assignment" not in doc and "sizes" in doc:
+            sizes = np.asarray(doc["sizes"], dtype=int)
+            doc = dict(doc, assignment=np.repeat(np.arange(1, len(sizes) + 1), sizes))
         phi = np.asarray(doc["phi"], dtype=float)
         if phi.ndim == 1:
             phi = np.diag(phi)
-        if mode == "binary":
-            assignment = np.asarray(doc["assignment"], dtype=int)
-            f = phi.shape[0]
-            n = len(assignment)
-            omega = np.zeros((n, f))
-            omega[np.arange(n), assignment - 1] = 1.0
-        else:
-            omega = np.asarray(doc["omega"], dtype=float)
-            n = omega.shape[0]
-        xi = np.asarray(doc.get("xi", np.zeros(n)), dtype=float)
-        return cls(omega=omega, phi_cov=phi, xi=xi, mode=mode)
+        try:
+            if doc["mode"] == "binary":
+                omega = binary_loadings(doc["assignment"], phi.shape[0])
+            else:
+                omega = np.asarray(doc["omega"], dtype=float)
+        except KeyError as exc:
+            raise ValidationError(f"model schema violation at /{exc.args[0]}: missing") from None
+        xi = np.asarray(doc.get("xi", np.zeros(omega.shape[0])), dtype=float)
+        return cls(omega=omega, phi_cov=phi, xi=xi, mode=doc["mode"])
 
 
 @dataclass
@@ -303,8 +352,17 @@ def reduce_nondiagonal(sizes, factor_corr):
     w, chi = np.linalg.eigh(reduced)
     if abs(w.sum() - n) > 1e-9 * max(n, 1):
         raise NumericalError("reduced eigenvalues do not sum to N")
+    return _reduced_structure(w, chi, n, lambda k: np.dot(q, chi[:, k]))
+
+
+def _reduced_structure(w, vecs, n, lifted_sum):
+    """EigenStructure of an N x N correlation matrix of rank F from the
+    ascending eigenpairs (w, vecs) of its reduced F x F problem;
+    lifted_sum(k) is the component sum of the unit N-space eigenvector
+    lifted from pair k."""
+    f = len(w)
     top = int(np.argmax(w))
-    rho = float(w[top] * abs(np.dot(q, chi[:, top])) / n**1.5)
+    rho = float(w[top] * abs(lifted_sum(top)) / n**1.5)
     values = [(float(x), 1) for x in w[::-1]]
     if n > f:
         values.append((0.0, n - f))
@@ -314,7 +372,7 @@ def reduce_nondiagonal(sizes, factor_corr):
         values=values,
         rho_star=rho,
         top_cluster=int(np.where(order == top)[0][0]) + 1,
-        reduced_vectors=chi[:, order],
+        reduced_vectors=vecs[:, order],
     )
 
 
@@ -327,53 +385,41 @@ def embed_reduced_vectors(sizes, chi):
     return chi[assignment] * scale[assignment][:, None]
 
 
-def reduce_nonbinary(model):
-    """Eigenstructure of a zero-specific-risk model with arbitrary loadings,
-    via the F x F Gram matrix of the normalized loadings."""
+def _loadings_gram(model):
+    """Row-normalized loadings lam = Omega L / |Omega L| (L the Cholesky
+    factor of Phi) of a zero-specific-risk model, with the ascending
+    eigenpairs of their F x F Gram matrix lam^T lam."""
     if np.any(model.xi != 0):
-        raise ValidationError(
-            "nonzero specific risk: use the dense path (dense_rho_star)"
-        )
-    chol = np.linalg.cholesky(model.phi_cov)
-    omega_t = model.omega @ chol
+        raise ValidationError("nonzero specific risk: use the dense path (dense_rho_star)")
+    omega_t = model.omega @ model.phi_chol
     sig = np.linalg.norm(omega_t, axis=1)
     if np.any(sig <= 0):
         i = int(np.argmin(sig))
         raise ValidationError(f"alpha {i} has zero total variance")
     lam = omega_t / sig[:, None]
-    q = lam.T @ lam
-    w, vecs = np.linalg.eigh(q)
+    w, vecs = np.linalg.eigh(lam.T @ lam)
     if w[0] <= 1e-10 * max(w[-1], 1.0):
         small = vecs[:, 0]
         cols = np.argsort(-np.abs(small))[:2]
         raise ValidationError(
             f"loadings columns are linearly dependent (columns {sorted(cols.tolist())})"
         )
-    n, f = model.n, model.f
-    top = int(np.argmax(w))
-    v_top = lam @ vecs[:, top] / math.sqrt(w[top])
-    rho = float(w[top] * abs(v_top.sum()) / n**1.5)
-    values = [(float(x), 1) for x in w[::-1]]
-    if n > f:
-        values.append((0.0, n - f))
-    order = np.argsort(w)[::-1]
-    return EigenStructure(
-        values=values,
-        rho_star=rho,
-        top_cluster=int(np.where(order == top)[0][0]) + 1,
-        reduced_vectors=vecs[:, order],
+    return lam, w, vecs
+
+
+def reduce_nonbinary(model):
+    """Eigenstructure of a zero-specific-risk model with arbitrary loadings,
+    via the F x F Gram matrix of the normalized loadings."""
+    lam, w, vecs = _loadings_gram(model)
+    return _reduced_structure(
+        w, vecs, model.n, lambda k: (lam @ vecs[:, k] / math.sqrt(w[k])).sum()
     )
 
 
 def nonbinary_eigenvectors(model):
     """Full N x F orthonormal eigenvector matrix for the zero-specific-risk
     non-binary model, columns ordered by descending eigenvalue."""
-    chol = np.linalg.cholesky(model.phi_cov)
-    omega_t = model.omega @ chol
-    sig = np.linalg.norm(omega_t, axis=1)
-    lam = omega_t / sig[:, None]
-    q = lam.T @ lam
-    w, vecs = np.linalg.eigh(q)
+    lam, w, vecs = _loadings_gram(model)
     order = np.argsort(w)[::-1]
     return lam @ vecs[:, order] / np.sqrt(w[order])[None, :]
 
@@ -386,6 +432,43 @@ def dense_rho_star(model, corr=None):
         _, corr = build_covariance(model)
     corr.spectrum  # cache the dense spectrum, so that no Lanczos is used
     return spectral_mod.spectral_summary(corr)
+
+
+def model_eigenstructure(model):
+    """Dispatch to the applicable closed-form reduction, falling back to the
+    dense solver. The binary closed form needs a diagonal Phi and xi uniform
+    within each cluster. Returns (EigenStructure, method_tag)."""
+    if model.mode == "binary":
+        off = model.phi_cov - np.diag(np.diag(model.phi_cov))
+        xi = _cluster_xi(model) if np.max(np.abs(off)) < 1e-15 else None
+        if xi is not None:
+            spec = ClusterSpec(model.sizes, model.assignment, np.diag(model.phi_cov), xi)
+            return binary_eigensystem(spec), "closed-form-binary"
+        if np.all(model.xi == 0):
+            d = np.sqrt(np.diag(model.phi_cov))
+            factor_corr = model.phi_cov / np.outer(d, d)
+            np.fill_diagonal(factor_corr, 1.0)
+            return reduce_nondiagonal(model.sizes, factor_corr), "closed-form-nondiagonal"
+    elif np.all(model.xi == 0):
+        return reduce_nonbinary(model), "reduced-nonbinary"
+    _, corr = build_covariance(model)
+    summary = dense_rho_star(model, corr)
+    values = [(float(x), 1) for x in corr.spectrum[0][::-1]]
+    return EigenStructure(values=values, rho_star=summary.rho_star, top_cluster=1), "dense"
+
+
+def _cluster_xi(model):
+    """Per-cluster specific risk of a binary model (0 for an empty cluster),
+    or None where xi varies within a cluster."""
+    assignment = model.assignment
+    xi = np.zeros(model.f)
+    for a in range(model.f):
+        vals = model.xi[assignment == a + 1]
+        if vals.size:
+            if np.ptp(vals) > 1e-12:
+                return None
+            xi[a] = vals[0]
+    return xi
 
 
 def _secular_poles(sizes, rho):
@@ -406,7 +489,7 @@ def secular_roots(sizes, rho):
         raise ValidationError("cluster sizes must be positive")
     f = len(sizes)
     n = float(sizes.sum())
-    if rho < 0 or rho > 1:
+    if not 0 <= rho <= 1:  # also rejects NaN
         raise ValidationError("factor correlation must lie in [0, 1]")
     if rho == 1.0:
         return np.array([n] + [0.0] * (f - 1))

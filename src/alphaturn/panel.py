@@ -75,11 +75,10 @@ class CorrelationMatrix:
     is computed on first use and cached, so one matrix costs one O(N^3)
     solve. `top_pair()` needs only the top eigenpair and takes it from the
     cached spectrum, or by Lanczos when there is none. `psd` follows from
-    the spectrum unless the constructor is told. Nothing is computed at
-    construction.
+    the spectrum. Nothing is computed at construction.
     """
 
-    def __init__(self, psi, vols, psd=None, min_overlap=0, labels=None, spectrum=None):
+    def __init__(self, psi, vols, min_overlap=0, labels=None, spectrum=None):
         self.psi = np.asarray(psi, dtype=float)
         self.vols = np.asarray(vols, dtype=float)
         n = self.psi.shape[0]
@@ -95,7 +94,7 @@ class CorrelationMatrix:
             raise ValidationError("volatilities must be positive, one per alpha")
         self.min_overlap = min_overlap
         self.labels = [f"a{i + 1}" for i in range(n)] if labels is None else labels
-        self._psd = psd
+        self._psd = None
         self._spectrum = spectrum
         self._top = None
 
@@ -135,10 +134,6 @@ class SignVector:
 
     signs: np.ndarray
     objective: float
-
-
-def _is_psd(psi):
-    return eigen.is_positive_definite(np.linalg.eigvalsh(psi))
 
 
 def load_panel(path, na_policy="empty_cell"):
@@ -330,7 +325,6 @@ def canonicalize_signs(corr, max_passes=None):
     new_corr = CorrelationMatrix(
         psi=new_psi,
         vols=corr.vols.copy(),
-        psd=corr._psd,
         min_overlap=corr.min_overlap,
         labels=list(corr.labels),
         spectrum=spectrum,

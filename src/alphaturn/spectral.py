@@ -66,8 +66,6 @@ def spectral_summary(corr, canonicalize=False):
         _, corr = panel_mod.canonicalize_signs(corr)
     psi = corr.psi
     n = corr.n
-    if np.max(np.abs(psi - psi.T)) > 1e-12:
-        raise ValidationError("matrix must be symmetric")
     psi1, v1 = corr.top_pair()
     v1 = v1.copy()
     rho_star = psi1 * abs(np.sum(v1)) / n**1.5

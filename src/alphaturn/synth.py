@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .factor_model import ClusterSpec, FactorModel, optimal_allocation
+from .factor_model import ClusterSpec, FactorModel, binary_loadings, optimal_allocation
 from .panel import AlphaPanel
 
 
@@ -89,7 +89,6 @@ def gen_model(config):
     """Full factor model for the config: binary clusters with the requested
     factor correlation structure."""
     spec = gen_cluster_spec(config)
-    base = spec.to_factor_model()
     if config.factor_rho == "random":
         corr = gen_factor_correlation(config.seed + 1, config.n_clusters, "random_spd")
     else:
@@ -99,7 +98,10 @@ def gen_model(config):
     scale = np.sqrt(spec.phi)
     phi_cov = corr * np.outer(scale, scale)
     return FactorModel(
-        omega=base.omega, phi_cov=phi_cov, xi=base.xi, mode="binary"
+        omega=binary_loadings(spec.assignment, spec.f),
+        phi_cov=phi_cov,
+        xi=spec.xi[spec.assignment - 1],
+        mode="binary",
     )
 
 
@@ -109,8 +111,7 @@ def gen_panel(model, n_obs, seed, labels=None):
     if n_obs < 2:
         raise ValidationError("need at least 2 observations")
     rng = _rng(seed)
-    chol = np.linalg.cholesky(model.phi_cov)
-    f_draws = rng.standard_normal((n_obs, model.f)) @ chol.T
+    f_draws = rng.standard_normal((n_obs, model.f)) @ model.phi_chol.T
     z = rng.standard_normal((n_obs, model.n)) * model.xi[None, :]
     values = z + f_draws @ model.omega.T
     if labels is None:

@@ -16,7 +16,7 @@ from alphaturn import synth as sy
 def make_corr(psi):
     psi = np.asarray(psi, dtype=float)
     return pm.CorrelationMatrix(
-        psi=psi, vols=np.ones(psi.shape[0]), psd=pm._is_psd(psi)
+        psi=psi, vols=np.ones(psi.shape[0])
     )
 
 

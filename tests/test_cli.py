@@ -1,4 +1,6 @@
+import importlib
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ def write_corr(path, psi, labels=None):
     psi = (psi + psi.T) / 2.0
     np.fill_diagonal(psi, 1.0)
     corr = pm.CorrelationMatrix(
-        psi=psi, vols=np.ones(psi.shape[0]), psd=pm._is_psd(psi), labels=labels
+        psi=psi, vols=np.ones(psi.shape[0]), labels=labels
     )
     pm.save_correlation(corr, path)
     return corr
@@ -267,6 +269,40 @@ class TestModel:
         assert run(["model", str(path), "--op", "eigen"]) == 2
         assert "/sizes/1" in capsys.readouterr().err
 
+    def test_diagonal_phi_varying_xi_goes_dense(self, tmp_path):
+        doc = {"mode": "binary", "sizes": [3, 2], "phi": [1, 1],
+               "xi": [0.1, 0.2, 0.3, 0.4, 0.4]}
+        path = self._write_model(tmp_path, doc)
+        want = fm.dense_rho_star(fm.FactorModel.from_doc(doc)).rho_star
+        for op in ("eigen", "rho-star"):
+            out = tmp_path / f"{op}.json"
+            assert run(["model", str(path), "--op", op, "--out", str(out)]) == 0
+            got = json.loads(out.read_text())
+            assert got["method"] == "dense"
+            assert got["rho_star"] == want
+
+    @pytest.mark.parametrize("grid, message", [
+        ("0,a", "'a'"),
+        ("0,", "''"),
+        ("nan", "must lie in [0, 1]"),
+    ])
+    def test_bad_grid_exit_2(self, tmp_path, capsys, grid, message):
+        path = self._write_model(
+            tmp_path, {"mode": "binary", "sizes": [3, 1], "phi": [1.0, 1.0]}
+        )
+        assert run(["model", str(path), "--op", "rho-curve", "--grid", grid]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"mode": "binary", "assignment": [1, 3], "phi": [1, 1]}, "cluster ids must lie in 1..2"),
+        ({"mode": "binary", "assignment": [1, 1], "phi": [1, 1]}, "sizes must be positive"),
+    ])
+    def test_bad_binary_layout_exit_2(self, tmp_path, capsys, doc, message):
+        path = self._write_model(tmp_path, doc)
+        assert run(["model", str(path), "--op", "eigen"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_numerical_error_exit_3(self, tmp_path, monkeypatch):
         path = self._write_model(
             tmp_path, {"mode": "binary", "sizes": [3, 1], "phi": [1.0, 1.0]}
@@ -371,3 +407,60 @@ class TestFTest:
         self._write_loadings(w, labels[:3], [1, 1, 2])  # a3 unmapped
         assert run(["ftest", str(p), str(w), str(p), str(w)]) == 2
         assert "a3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_nonpositive_cluster_id_exit_2(self, tmp_path, capsys, bad):
+        rng = np.random.default_rng(3)
+        labels = ["a0", "a1", "a2", "a3"]
+        p = tmp_path / "p.csv"
+        self._write_panel(p, rng.standard_normal((4, 4)) + 1.0, labels)
+        w = tmp_path / "w.csv"
+        self._write_loadings(w, labels, [1, bad, 2, 2])
+        assert run(["ftest", str(p), str(w), str(p), str(w)]) == 2
+        assert f"{w}: row 3: bad cluster id '{bad}'" in capsys.readouterr().err
+
+
+class TestTracedLayers:
+    """The benchmark's traced run wraps module attributes listed in
+    perfbench/tracing.py; each must exist and be reached through its
+    module, so that the wrappers see every call."""
+
+    def layers(self):
+        path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        return [(mod, attr) for mod, attrs in tracing.LAYERS.items() for attr in attrs]
+
+    def test_layers_exist(self):
+        for mod, attr in self.layers():
+            assert callable(getattr(importlib.import_module(f"alphaturn.{mod}"), attr))
+
+    def test_model_layers_are_called_through_their_modules(self, tmp_path, monkeypatch):
+        called = set()
+        for mod, attr in self.layers():
+            if mod not in ("cli", "factor_model"):
+                continue
+            module = importlib.import_module(f"alphaturn.{mod}")
+
+            def wrapper(*args, _real=getattr(module, attr), _name=(mod, attr), **kwargs):
+                called.add(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, attr, wrapper)
+        rng = np.random.default_rng(5)
+        docs = [
+            {"mode": "binary", "sizes": [3, 2], "phi": [1.0, 2.0]},
+            {"mode": "binary", "sizes": [3, 2], "phi": [[1.0, 0.3], [0.3, 1.0]]},
+            {"mode": "dense", "omega": (rng.random((6, 2)) + 0.2).tolist(), "phi": [1.0, 1.0]},
+            {"mode": "dense", "omega": (rng.random((6, 2)) + 0.2).tolist(), "phi": [1.0, 1.0],
+             "xi": [0.3] * 6},
+        ]
+        for k, doc in enumerate(docs):
+            path = tmp_path / f"m{k}.json"
+            path.write_text(json.dumps(doc))
+            assert run(["model", str(path), "--op", "eigen", "--out", str(tmp_path / "o")]) == 0
+        assert run(["model", str(tmp_path / "m0.json"), "--op", "rho-curve",
+                    "--out", str(tmp_path / "o")]) == 0
+        assert called == {(mod, attr) for mod, attr in self.layers()
+                          if mod in ("cli", "factor_model")}

@@ -292,3 +292,41 @@ class TestDecompositionBudget:
         argv = ["model", str(path), "--op", "eigen", "--out", str(out)]
         assert self.count(monkeypatch, n, argv) == 1
         assert json.loads(out.read_text())["method"] == "dense"
+
+    def decomposed(self, monkeypatch, argv):
+        """Arguments of every eigh/eigvalsh/cholesky call made by argv."""
+        calls = []
+        for name in ("eigh", "eigvalsh", "cholesky"):
+            real = getattr(np.linalg, name)
+
+            def recorded(a, *args, _real=real, **kwargs):
+                calls.append(np.array(a))
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        assert cli.main(argv) == 0
+        return calls
+
+    def test_model_reduced_nonbinary_factors_phi_once(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(9)
+        n, f = 30, 4
+        basis, _ = np.linalg.qr(rng.standard_normal((f, f)))
+        phi = (basis * rng.uniform(0.5, 2.0, f)) @ basis.T
+        phi = (phi + phi.T) / 2.0
+        doc = {"mode": "dense", "omega": (rng.random((n, f)) + 0.2).tolist(), "phi": phi.tolist()}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "eig.json"
+        calls = self.decomposed(monkeypatch, ["model", str(path), "--op", "eigen", "--out", str(out)])
+        assert json.loads(out.read_text())["method"] == "reduced-nonbinary"
+        square = [a for a in calls if a.shape == (f, f)]
+        assert sum(np.array_equal(a, phi) for a in square) == 1
+        assert len(square) == len(calls) == 2  # Phi, then the loadings' Gram matrix
+
+    def test_synth_factors_phi_once(self, tmp_path, monkeypatch):
+        panel, model = tmp_path / "p.csv", tmp_path / "m.json"
+        calls = self.decomposed(monkeypatch, [
+            "synth", "--seed", "3", "--n", "12", "--clusters", "3", "--n-obs", "20",
+            "--factor-rho", "0.3", "--panel-out", str(panel), "--model-out", str(model)])
+        phi = np.array(json.loads(model.read_text())["phi"])
+        assert len(calls) == 1 and np.array_equal(calls[0], phi)

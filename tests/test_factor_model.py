@@ -70,6 +70,18 @@ class TestBuildCovariance:
         assert np.allclose(back.xi, model.xi)
         assert back.mode == "binary"
 
+    def test_from_json_binary_sizes_only(self):
+        model = fm.FactorModel.from_json('{"mode": "binary", "sizes": [2, 1], "phi": [1, 4]}')
+        np.testing.assert_array_equal(model.assignment, [1, 1, 2])
+        np.testing.assert_array_equal(model.sizes, [2, 1])
+        np.testing.assert_array_equal(model.omega, fm.binary_loadings([1, 1, 2], 2))
+        np.testing.assert_array_equal(model.xi, np.zeros(3))
+
+    def test_phi_factor_kept(self):
+        phi = rand_spd_corr(np.random.default_rng(4), 3)
+        model = fm.FactorModel(omega=np.ones((5, 3)), phi_cov=phi, xi=np.zeros(5))
+        np.testing.assert_array_equal(model.phi_chol, np.linalg.cholesky(phi))
+
 
 class TestBinaryEigensystem:
     def test_no_specific_risk_sizes(self):
@@ -298,6 +310,13 @@ class TestReduceNonbinary:
         )
         with pytest.raises(ValidationError, match="dense"):
             fm.reduce_nonbinary(model)
+
+    def test_eigenvectors_reject_nonzero_xi(self):
+        model = fm.FactorModel(
+            omega=np.ones((3, 1)), phi_cov=np.eye(1), xi=np.full(3, 0.2)
+        )
+        with pytest.raises(ValidationError, match="dense"):
+            fm.nonbinary_eigenvectors(model)
 
     def test_dependent_columns_named(self):
         omega = np.column_stack([np.ones(5), 2.0 * np.ones(5)])

@@ -15,7 +15,7 @@ def make_corr(psi, vols=None):
     np.fill_diagonal(psi, 1.0)
     n = psi.shape[0]
     return pm.CorrelationMatrix(
-        psi=psi, vols=np.ones(n) if vols is None else vols, psd=pm._is_psd(psi)
+        psi=psi, vols=np.ones(n) if vols is None else vols
     )
 
 

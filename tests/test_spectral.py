@@ -13,7 +13,7 @@ def make_corr(psi):
         psi = (psi + psi.T) / 2.0
         np.fill_diagonal(psi, 1.0)
     return pm.CorrelationMatrix(
-        psi=psi, vols=np.ones(psi.shape[0]), psd=pm._is_psd(psi)
+        psi=psi, vols=np.ones(psi.shape[0])
     )
 
 
