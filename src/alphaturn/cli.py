@@ -8,7 +8,6 @@ Exit codes: 0 success, 2 validation failure, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -23,7 +22,7 @@ from . import panel as panel_mod
 from . import spectral as spectral_mod
 from . import synth as synth_mod
 from .factor_model import model_eigenstructure
-from .panel import FLOAT_FMT, _atomic_write
+from .panel import _atomic_write
 
 
 def _emit(text, out_path):
@@ -33,44 +32,17 @@ def _emit(text, out_path):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _load_model(path):
+def _read_json_object(path, kind):
     if not os.path.exists(path):
-        raise ValidationError(f"model file not found: {path}")
+        raise ValidationError(f"{kind} file not found: {path}")
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: model document must be a JSON object")
-    return fm.FactorModel.from_doc(doc)
-
-
-def load_loadings_csv(path, labels):
-    """Binary loadings CSV (header alpha,cluster; 1-based cluster ids),
-    aligned with the given panel labels."""
-    if not os.path.exists(path):
-        raise ValidationError(f"loadings file not found: {path}")
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["alpha", "cluster"]:
-        raise ValidationError(f"{path}: header must be 'alpha,cluster'")
-    mapping = {}
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise ValidationError(f"{path}: row {r} must have 2 fields")
-        try:
-            cluster = int(row[1])
-        except ValueError:
-            cluster = 0
-        if cluster < 1:
-            raise ValidationError(f"{path}: row {r}: bad cluster id {row[1]!r}")
-        mapping[row[0]] = cluster
-    missing = [lab for lab in labels if lab not in mapping]
-    if missing:
-        raise ValidationError(f"{path}: no cluster for alpha {missing[0]!r}")
-    assignment = np.array([mapping[lab] for lab in labels])
-    return fm.binary_loadings(assignment, int(assignment.max()))
+        raise ValidationError(f"{path}: {kind} must be a JSON object")
+    return doc
 
 
 def cmd_analyze(args):
@@ -128,7 +100,7 @@ def cmd_clusters(args):
 
 
 def cmd_model(args):
-    model = _load_model(args.input)
+    model = fm.FactorModel.from_doc(_read_json_object(args.input, "model"))
     if args.op == "eigen":
         structure, method = model_eigenstructure(model)
         doc = json.loads(structure.to_json())
@@ -145,16 +117,11 @@ def cmd_model(args):
         except ValueError as exc:
             raise ValidationError(f"--grid: {exc}") from None
         sizes = model.sizes
-        lines = ["rho,psi_star"]
-        for rho in grid:
-            psi_star = fm.secular_roots(sizes, rho)[0]
-            lines.append(f"{FLOAT_FMT % rho},{FLOAT_FMT % psi_star}")
-        _emit("\n".join(lines), args.out)
+        rows = [(rho, fm.secular_roots(sizes, rho)[0]) for rho in grid]
+        _emit(panel_mod.format_csv(["rho", "psi_star"], rows), args.out)
     elif args.op == "sweep-f":
-        lines = ["F,rho_star_min"]
-        for f in range(1, args.fmax + 1):
-            lines.append(f"{f},{FLOAT_FMT % (f ** -1.5)}")
-        _emit("\n".join(lines), args.out)
+        fs = range(1, args.fmax + 1)
+        _emit(panel_mod.format_csv(["F", "rho_star_min"], [[f ** -1.5] for f in fs], fs), args.out)
 
 
 def cmd_synth(args):
@@ -184,8 +151,8 @@ def cmd_synth(args):
 def cmd_ftest(args):
     panel = panel_mod.load_panel(args.panel, na_policy="literal_NA")
     panel_new = panel_mod.load_panel(args.panel_new, na_policy="literal_NA")
-    omega_old = load_loadings_csv(args.omega_old, panel.labels)
-    omega_new = load_loadings_csv(args.omega_new, panel_new.labels)
+    omega_old = clusters_mod.load_loadings(args.omega_old, panel.labels)
+    omega_new = clusters_mod.load_loadings(args.omega_new, panel_new.labels)
     report = clusters_mod.new_cluster_ftest(
         panel, omega_old, panel_new, omega_new, winsor=args.winsor
     )
@@ -265,32 +232,19 @@ def main(argv=None):
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    # --config supplies defaults for the flags of the chosen subcommand
-    if "--config" in argv:
-        idx = argv.index("--config")
-        if idx + 1 == len(argv):
-            print("error: --config needs a JSON file path", file=sys.stderr)
-            return 2
-        cfg_path = argv[idx + 1]
-        if not os.path.exists(cfg_path):
-            print(f"error: config file not found: {cfg_path}", file=sys.stderr)
-            return 2
-        try:
-            with open(cfg_path) as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            print(f"error: {cfg_path}: not valid JSON ({exc})", file=sys.stderr)
-            return 2
-        if not isinstance(doc, dict):
-            print(f"error: {cfg_path}: config must be a JSON object", file=sys.stderr)
-            return 2
-        cfg = {k.replace("-", "_"): v for k, v in doc.items()}
-        for action in parser._subparsers._group_actions:
-            for sp in action.choices.values():
-                sp.set_defaults(**{k: v for k, v in cfg.items()
-                                   if any(a.dest == k for a in sp._actions)})
-    args = parser.parse_args(argv)
     try:
+        # --config supplies defaults for the flags of the chosen subcommand
+        if "--config" in argv:
+            idx = argv.index("--config")
+            if idx + 1 == len(argv):
+                raise ValidationError("--config needs a JSON file path")
+            doc = _read_json_object(argv[idx + 1], "config")
+            cfg = {k.replace("-", "_"): v for k, v in doc.items()}
+            for action in parser._subparsers._group_actions:
+                for sp in action.choices.values():
+                    sp.set_defaults(**{k: v for k, v in cfg.items()
+                                       if any(a.dest == k for a in sp._actions)})
+        args = parser.parse_args(argv)
         args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -299,7 +253,6 @@ def main(argv=None):
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -11,7 +11,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .eigen import PSD_TOL
-from .panel import FLOAT_FMT
+from .factor_model import binary_loadings
+from .panel import format_csv, read_csv
 
 # Residual variance below which a sweep step is skipped.
 RESIDUAL_VAR_FLOOR = 1e-10
@@ -29,10 +30,8 @@ class SweepCurve:
     skipped: list = field(default_factory=list)
 
     def to_csv(self):
-        lines = ["K,zeta1,zeta2"]
-        for k, z1, z2 in zip(self.ks, self.zeta1, self.zeta2):
-            lines.append(f"{k},{FLOAT_FMT % z1},{FLOAT_FMT % z2}")
-        return "\n".join(lines) + "\n"
+        values = np.column_stack([self.zeta1, self.zeta2])
+        return format_csv(["K", "zeta1", "zeta2"], values, self.ks)
 
 
 @dataclass
@@ -61,10 +60,8 @@ class FTestReport:
     skipped_times: list = field(default_factory=list)
 
     def to_csv(self):
-        lines = ["time,f_old,f_new"]
-        for t, fo, fn in zip(self.times, self.f_old, self.f_new):
-            lines.append(f"{t},{FLOAT_FMT % fo},{FLOAT_FMT % fn}")
-        return "\n".join(lines) + "\n"
+        values = np.column_stack([self.f_old, self.f_new])
+        return format_csv(["time", "f_old", "f_new"], values, self.times)
 
     def to_json(self):
         return json.dumps(
@@ -162,6 +159,30 @@ def _through_origin_fstat(y, x):
     if rss <= 0:
         return float("inf")
     return (ess / p) / (rss / (n - p))
+
+
+def load_loadings(path, labels):
+    """Binary loadings from a CSV with header alpha,cluster and 1-based
+    cluster ids, one row per alpha, in the order of `labels`."""
+    rows = read_csv(path, "loadings")
+    if not rows or rows[0] != ["alpha", "cluster"]:
+        raise ValidationError(f"{path}: header must be 'alpha,cluster'")
+    mapping = {}
+    for r, row in enumerate(rows[1:], start=2):
+        if len(row) != 2:
+            raise ValidationError(f"{path}: row {r} must have 2 fields")
+        try:
+            cluster = int(row[1])
+        except ValueError:
+            cluster = 0
+        if cluster < 1:
+            raise ValidationError(f"{path}: row {r}: bad cluster id {row[1]!r}")
+        mapping[row[0]] = cluster
+    missing = [lab for lab in labels if lab not in mapping]
+    if missing:
+        raise ValidationError(f"{path}: no cluster for alpha {missing[0]!r}")
+    assignment = np.array([mapping[lab] for lab in labels])
+    return binary_loadings(assignment, int(assignment.max()))
 
 
 def _check_binary_loadings(omega, name):

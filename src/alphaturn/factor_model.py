@@ -122,9 +122,13 @@ class FactorModel:
         self.omega = np.asarray(self.omega, dtype=float)
         self.phi_cov = np.asarray(self.phi_cov, dtype=float)
         self.xi = np.asarray(self.xi, dtype=float)
+        if self.omega.ndim != 2:
+            raise ValidationError("loadings must be an N x F matrix")
         n, f = self.omega.shape
         if self.phi_cov.shape != (f, f):
             raise ValidationError("factor covariance shape does not match loadings")
+        if not all(np.isfinite(a).all() for a in (self.omega, self.phi_cov, self.xi)):
+            raise ValidationError("loadings, factor covariance and specific risks must be finite")
         if np.max(np.abs(self.phi_cov - self.phi_cov.T)) > 1e-12:
             raise ValidationError("factor covariance must be symmetric")
         try:
@@ -191,18 +195,27 @@ class FactorModel:
         if doc["mode"] == "binary" and "assignment" not in doc and "sizes" in doc:
             sizes = np.asarray(doc["sizes"], dtype=int)
             doc = dict(doc, assignment=np.repeat(np.arange(1, len(sizes) + 1), sizes))
-        phi = np.asarray(doc["phi"], dtype=float)
+        phi = _float_array(doc, "phi")
         if phi.ndim == 1:
             phi = np.diag(phi)
         try:
             if doc["mode"] == "binary":
                 omega = binary_loadings(doc["assignment"], phi.shape[0])
             else:
-                omega = np.asarray(doc["omega"], dtype=float)
+                omega = _float_array(doc, "omega")
         except KeyError as exc:
             raise ValidationError(f"model schema violation at /{exc.args[0]}: missing") from None
         xi = np.asarray(doc.get("xi", np.zeros(omega.shape[0])), dtype=float)
         return cls(omega=omega, phi_cov=phi, xi=xi, mode=doc["mode"])
+
+
+def _float_array(doc, key):
+    """doc[key] as a float array; a ragged or non-numeric one violates the
+    model schema."""
+    try:
+        return np.asarray(doc[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"model schema violation at /{key}: {exc}") from None
 
 
 @dataclass
@@ -345,11 +358,12 @@ def reduce_nondiagonal(sizes, factor_corr):
         raise ValidationError("cluster sizes must be positive")
     if factor_corr.shape != (f, f) or np.max(np.abs(factor_corr - factor_corr.T)) > 1e-12:
         raise ValidationError("factor correlation must be symmetric F x F")
-    if np.linalg.eigvalsh(factor_corr)[0] <= 0:
-        raise ValidationError("factor correlation must be positive definite")
     q = np.sqrt(sizes.astype(float))
     reduced = factor_corr * np.outer(q, q)
     w, chi = np.linalg.eigh(reduced)
+    # Q C Q is congruent to C, so by Sylvester's law it has C's inertia
+    if w[0] <= 0:
+        raise ValidationError("factor correlation must be positive definite")
     if abs(w.sum() - n) > 1e-9 * max(n, 1):
         raise NumericalError("reduced eigenvalues do not sum to N")
     return _reduced_structure(w, chi, n, lambda k: np.dot(q, chi[:, k]))

@@ -136,6 +136,28 @@ class SignVector:
     objective: float
 
 
+def read_csv(path, kind):
+    """All rows of the CSV file at `path`, as lists of cell strings; `kind`
+    names the file in the not-found error."""
+    if not os.path.exists(path):
+        raise ValidationError(f"{kind} file not found: {path}")
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def format_csv(header, values, labels=None):
+    """CSV text of a header row and the rows of a 2-D float array, each
+    row led by its label when `labels` is given. Floats are written with
+    FLOAT_FMT, NaN as an empty cell."""
+    rows = [
+        ",".join("" if math.isnan(v) else FLOAT_FMT % v for v in row)
+        for row in np.asarray(values, dtype=float).tolist()
+    ]
+    if labels is not None:
+        rows = [f"{label},{row}" for label, row in zip(labels, rows)]
+    return "\n".join([",".join(header), *rows]) + "\n"
+
+
 def load_panel(path, na_policy="empty_cell"):
     """Read a panel CSV (header ``time,<label1>,...``) into an AlphaPanel.
 
@@ -144,10 +166,7 @@ def load_panel(path, na_policy="empty_cell"):
     """
     if na_policy not in ("empty_cell", "literal_NA"):
         raise ValidationError(f"unknown na_policy {na_policy!r}")
-    if not os.path.exists(path):
-        raise ValidationError(f"panel file not found: {path}")
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = read_csv(path, "panel")
     if not rows or len(rows[0]) < 3 or rows[0][0] != "time":
         raise ValidationError(f"{path}: header must be 'time,<label1>,...,<labelN>'")
     labels = rows[0][1:]
@@ -182,13 +201,7 @@ def load_panel(path, na_policy="empty_cell"):
 
 def save_panel(panel, path):
     """Write a panel back to CSV (NaN cells emitted empty)."""
-    lines = ["time," + ",".join(panel.labels)]
-    for s, t in enumerate(panel.times):
-        cells = [
-            "" if np.isnan(v) else FLOAT_FMT % v for v in panel.values[s]
-        ]
-        lines.append(str(t) + "," + ",".join(cells))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, format_csv(["time", *panel.labels], panel.values, panel.times))
 
 
 def _atomic_write(path, text):
@@ -359,10 +372,7 @@ def deform_correlation(corr, noise_floor=1e-10):
 
 def load_correlation(path):
     """Read a correlation matrix CSV (label header row and column)."""
-    if not os.path.exists(path):
-        raise ValidationError(f"correlation file not found: {path}")
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = read_csv(path, "correlation")
     if len(rows) < 3:
         raise ValidationError(f"{path}: expected at least a 2x2 matrix")
     labels = rows[0][1:]
@@ -376,9 +386,13 @@ def load_correlation(path):
         try:
             psi[r] = [float(c) for c in row[1:]]
         except ValueError:
-            raise ValidationError(
-                f"{path}: row {r + 2} contains a non-numeric cell"
-            ) from None
+            for c, cell in enumerate(row[1:], start=2):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ValidationError(
+                        f"{path}: row {r + 2}, column {c}: cannot parse {cell!r}"
+                    ) from None
     del rows
     bad = np.argwhere(~np.isfinite(psi))
     if bad.size:
@@ -401,7 +415,4 @@ def load_correlation(path):
 
 
 def save_correlation(corr, path):
-    lines = ["," + ",".join(corr.labels)]
-    for i, lab in enumerate(corr.labels):
-        lines.append(lab + "," + ",".join(FLOAT_FMT % v for v in corr.psi[i]))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, format_csv(["", *corr.labels], corr.psi, corr.labels))

@@ -303,6 +303,22 @@ class TestModel:
         assert run(["model", str(path), "--op", "eigen"]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"mode": "dense", "omega": [[1, 2], [3]], "phi": [1, 1]},
+         "model schema violation at /omega: "),
+        ({"mode": "binary", "sizes": [1, 1], "phi": [[1, 0.2], [0.2]]},
+         "model schema violation at /phi: "),
+        ({"mode": "binary", "sizes": [1], "phi": ["a"]},
+         "model schema violation at /phi: "),
+        ({"mode": "dense", "omega": [], "phi": [1]}, "loadings must be an N x F matrix"),
+        ({"mode": "binary", "sizes": [2], "phi": [None]}, "must be finite"),
+    ])
+    def test_malformed_arrays_exit_2(self, tmp_path, capsys, doc, message):
+        path = self._write_model(tmp_path, doc)
+        assert run(["model", str(path), "--op", "eigen"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     def test_numerical_error_exit_3(self, tmp_path, monkeypatch):
         path = self._write_model(
             tmp_path, {"mode": "binary", "sizes": [3, 1], "phi": [1.0, 1.0]}

@@ -323,6 +323,21 @@ class TestDecompositionBudget:
         assert sum(np.array_equal(a, phi) for a in square) == 1
         assert len(square) == len(calls) == 2  # Phi, then the loadings' Gram matrix
 
+    def test_model_nondiagonal_decomposes_phi_and_reduced_matrix_once(self, tmp_path,
+                                                                       monkeypatch):
+        sizes = [4, 2, 3]
+        phi = np.array([[1.0, 0.3, 0.1], [0.3, 2.0, 0.2], [0.1, 0.2, 1.5]])
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"mode": "binary", "sizes": sizes, "phi": phi.tolist()}))
+        out = tmp_path / "eig.json"
+        calls = self.decomposed(monkeypatch, ["model", str(path), "--op", "eigen", "--out", str(out)])
+        assert json.loads(out.read_text())["method"] == "closed-form-nondiagonal"
+        d, q = np.sqrt(np.diag(phi)), np.sqrt(sizes)
+        reduced = phi / np.outer(d, d) * np.outer(q, q)
+        assert len(calls) == 2
+        np.testing.assert_array_equal(calls[0], phi)  # the Cholesky check of Phi
+        np.testing.assert_allclose(calls[1], reduced, rtol=1e-15)  # eigh of Q C Q
+
     def test_synth_factors_phi_once(self, tmp_path, monkeypatch):
         panel, model = tmp_path / "p.csv", tmp_path / "m.json"
         calls = self.decomposed(monkeypatch, [

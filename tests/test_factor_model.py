@@ -242,6 +242,13 @@ class TestReduceNondiagonal:
         v = fm.embed_reduced_vectors(sizes, eig.reduced_vectors)
         assert np.allclose(v.T @ v, np.eye(3), atol=1e-10)
 
+    @pytest.mark.parametrize("sizes", [[2, 2, 2], [1, 50, 3]])
+    def test_indefinite_factor_corr_rejected(self, sizes):
+        corr = np.array([[1.0, 0.6, 0.6], [0.6, 1.0, -0.6], [0.6, -0.6, 1.0]])
+        assert np.linalg.eigvalsh(corr)[0] < 0
+        with pytest.raises(ValidationError, match="factor correlation must be positive definite"):
+            fm.reduce_nondiagonal(sizes, corr)
+
 
 class TestReduceNonbinary:
     def test_binary_special_case(self):

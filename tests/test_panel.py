@@ -95,6 +95,15 @@ class TestLoadCorrelation:
         with pytest.raises(ValidationError, match=r"corr.csv: row 3, column 4: non-finite"):
             pm.load_correlation(p)
 
+    @pytest.mark.parametrize("cell", ["x", ""])
+    def test_unparsable_cell_names_row_and_column(self, tmp_path, cell):
+        p = tmp_path / "corr.csv"
+        _write_corr_text(p, ["a", "b", "c"], [["1", "0.2", "0.1"], ["0.2", "1", cell],
+                                              ["0.1", "0.3", "1"]])
+        with pytest.raises(ValidationError,
+                           match=rf"corr.csv: row 3, column 4: cannot parse '{cell}'$"):
+            pm.load_correlation(p)
+
     def test_asymmetric_matrix_names_worst_pair(self, tmp_path):
         p = tmp_path / "corr.csv"
         _write_corr_text(p, ["a", "b", "c"], [["1", "0.9", "0.1"], ["-0.5", "1", "0.3"],
