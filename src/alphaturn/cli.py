@@ -13,7 +13,6 @@ import os
 import sys
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError
 
 from .errors import NumericalError, ValidationError
 from . import clusters as clusters_mod
@@ -163,6 +162,54 @@ def cmd_ftest(args):
         sys.stdout.write(report.to_json() + "\n")
 
 
+def _arpack_errors():
+    """ArpackError as a one-element tuple once scipy.sparse.linalg has been
+    imported, else an empty tuple: before that import no ArpackError can
+    have been raised, and importing scipy here would put its cost on every
+    command's start-up."""
+    arpack = sys.modules.get("scipy.sparse.linalg")
+    return () if arpack is None else (arpack.ArpackError,)
+
+
+def _config_value(action, key, value):
+    """A --config value, converted and checked as the flag's command-line
+    value would be: argparse applies type= and choices to command-line
+    strings, but to a default only type=, and only to a string. A switch
+    takes true or false, a flag that takes n values a list of n, and any
+    other flag a string or a number, which goes through type= as its text.
+    null leaves a flag without a default unset. Anything else exits 2
+    naming the key."""
+    if value is None and action.default is None:
+        return None
+    if action.nargs == 0:
+        if isinstance(value, bool):
+            return value
+        raise ValidationError(f"--config: {key}: expected true or false, got {json.dumps(value)}")
+    if isinstance(action.nargs, int):
+        if isinstance(value, list) and len(value) == action.nargs:
+            return [_config_scalar(action, key, v) for v in value]
+        raise ValidationError(
+            f"--config: {key}: expected a list of {action.nargs} values, got {json.dumps(value)}"
+        )
+    return _config_scalar(action, key, value)
+
+
+def _config_scalar(action, key, value):
+    if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        try:
+            converted = (action.type or str)(str(value))
+        except ValueError:
+            pass
+        else:
+            if action.choices is None or converted in action.choices:
+                return converted
+    if action.choices is not None:
+        expected = "one of " + ", ".join(action.choices)
+    else:
+        expected = {int: "an integer", float: "a number"}.get(action.type, "a string")
+    raise ValidationError(f"--config: {key}: expected {expected}, got {json.dumps(value)}")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="alphaturn",
@@ -239,17 +286,21 @@ def main(argv=None):
             if idx + 1 == len(argv):
                 raise ValidationError("--config needs a JSON file path")
             doc = _read_json_object(argv[idx + 1], "config")
-            cfg = {k.replace("-", "_"): v for k, v in doc.items()}
             for action in parser._subparsers._group_actions:
                 for sp in action.choices.values():
-                    sp.set_defaults(**{k: v for k, v in cfg.items()
-                                       if any(a.dest == k for a in sp._actions)})
+                    flags = {a.dest: a for a in sp._actions}
+                    sp.set_defaults(**{
+                        dest: _config_value(flags[dest], key, value)
+                        for key, value in doc.items()
+                        if (dest := key.replace("-", "_")) in flags
+                    })
         args = parser.parse_args(argv)
         args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, np.linalg.LinAlgError, ArpackError) as exc:
+    # the tuple is built only when an exception reaches this clause
+    except (NumericalError, np.linalg.LinAlgError, *_arpack_errors()) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -3,12 +3,17 @@ positive-definiteness rule, the tie rule for a degenerate top eigenspace,
 and a Lanczos solver for the top eigenpair alone.
 
 The full dense spectrum itself is cached on ``CorrelationMatrix``.
+
+``scipy.sparse.linalg`` (``eigsh`` and ``ArpackError``) is imported when
+``lanczos_top_pair`` first runs ARPACK, or on the first read of
+``eigen.eigsh``, not when this module is imported: the import costs about
+0.2 s, which every CLI command would otherwise pay at start-up, and only
+commands that take a top pair without a cached spectrum need it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError, eigsh
 
 # Relative eigenvalue floor below which a correlation matrix is treated as
 # not positive definite.
@@ -24,6 +29,23 @@ DEGEN_TOL = 1e-10
 # 55, 108, 264 and 870 ms for k = 16 to 256, against 357 ms for one dense
 # eigh: the three blocks tried add about 14% to the dense solve they precede.
 LANCZOS_MAX_K = 8
+
+
+def _load_arpack():
+    """Bind eigsh and ArpackError in this module, keeping a name that is
+    already bound (so a test can replace eigsh before the first call)."""
+    from scipy.sparse.linalg import ArpackError, eigsh
+
+    names = globals()
+    names.setdefault("eigsh", eigsh)
+    names.setdefault("ArpackError", ArpackError)
+
+
+def __getattr__(name):
+    if name in ("eigsh", "ArpackError"):
+        _load_arpack()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def is_positive_definite(w):
@@ -72,6 +94,7 @@ def lanczos_top_pair(psi):
     v0 = np.ones(n)
     k = 2
     while k <= min(LANCZOS_MAX_K, n // 4):
+        _load_arpack()
         try:
             w, v = eigsh(psi, k=k, which="LA", v0=v0, tol=0)
         except ArpackError:

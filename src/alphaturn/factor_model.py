@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NumericalError, ValidationError
 from .panel import CorrelationMatrix
@@ -512,6 +511,10 @@ def secular_roots(sizes, rho):
     if f == 1:
         return np.array([n])
 
+    # imported here, not at module level: scipy.optimize costs about 0.2 s
+    # to import, and only rho-curve and the secular checks need it
+    from scipy.optimize import brentq
+
     uniq, counts, poles = _secular_poles(sizes, rho)
     weights = counts * uniq.astype(float)
 
@@ -522,20 +525,30 @@ def secular_roots(sizes, rho):
     # m-fold duplicated sizes pin m-1 eigenvalues exactly at their pole
     for p, m in zip(poles, counts):
         roots.extend([p] * (m - 1))
-    # one root strictly inside each gap between consecutive distinct poles
-    for k in range(len(poles) - 1):
-        gap = poles[k + 1] - poles[k]
-        a = poles[k] + 1e-13 * gap
-        b = poles[k + 1] - 1e-13 * gap
-        if a >= b or fun(a) <= 0 or fun(b) >= 0:
-            roots.append(0.5 * (poles[k] + poles[k + 1]))
-            continue
-        roots.append(brentq(fun, a, b, rtol=1e-14, xtol=1e-300, maxiter=200))
-    # one root above the largest pole
-    gap = n * (1.0 + rho) - poles[-1]
-    a = poles[-1] + 1e-13 * gap
-    b = n * (1.0 + rho)
-    roots.append(brentq(fun, a, b, rtol=1e-14, xtol=1e-300, maxiter=200))
+
+    def off_pole(pole, x, sign):
+        """x as a bracket end beside `pole`, where fun must have the sign
+        it takes next to that pole (+1 above it, -1 below). Where x rounds
+        onto the pole or lies past the root, the next float off the pole
+        instead; the flag is set where even that float lies past the root,
+        which is then that float to within one ulp."""
+        if x != pole and np.sign(fun(x)) == sign:
+            return x, False
+        x = np.nextafter(pole, sign * np.inf)
+        return x, np.sign(fun(x)) != sign
+
+    # one root strictly inside each gap between consecutive distinct poles,
+    # and one above the largest pole, below n (1 + rho) where fun < 0
+    last = len(poles) - 1
+    for k, lo in enumerate(poles):
+        hi = poles[k + 1] if k < last else n * (1.0 + rho)
+        gap = hi - lo
+        a, past_a = off_pole(lo, lo + 1e-13 * gap, 1)
+        b, past_b = off_pole(hi, hi - 1e-13 * gap, -1) if k < last else (hi, False)
+        if past_a or past_b:
+            roots.append(a if past_a else b)
+        else:
+            roots.append(brentq(fun, a, b, rtol=1e-14, xtol=1e-300, maxiter=200))
 
     roots = np.sort(np.asarray(roots))[::-1]
     if abs(roots.sum() - n) > 1e-9 * max(n, 1.0):

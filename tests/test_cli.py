@@ -139,6 +139,85 @@ class TestAnalyze:
         monkeypatch.setattr(cli.spectral_mod, "spectral_summary", boom)
         assert run(["analyze", str(path), "--corr"]) == 3
 
+    def test_other_exception_propagates(self, tmp_path, monkeypatch):
+        # ArpackError is a RuntimeError; a plain one is a bug, not exit 3
+        path = tmp_path / "corr.csv"
+        write_corr(path, np.eye(4))
+
+        def boom(*a, **k):
+            raise RuntimeError("not a numerical failure")
+
+        monkeypatch.setattr(cli.spectral_mod, "spectral_summary", boom)
+        with pytest.raises(RuntimeError, match="not a numerical failure"):
+            run(["analyze", str(path), "--corr"])
+
+
+class TestConfig:
+    """--config values are converted and checked as the flags' command-line
+    values are."""
+
+    @pytest.fixture
+    def panel(self, tmp_path):
+        rng = np.random.default_rng(1)
+        vals = rng.standard_normal((6, 3))
+        lines = ["time,a,b,c"] + [
+            f"{s}," + ",".join("%.10g" % v for v in vals[s]) for s in range(6)
+        ]
+        path = tmp_path / "panel.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def analyze(self, tmp_path, panel, cfg, *flags):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out.json"
+        out.unlink(missing_ok=True)
+        code = run(["--config", str(path), "analyze", str(panel), "--out", str(out), *flags])
+        return code, out.read_bytes() if code == 0 else None
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"min_overlap": [1]}, "--config: min_overlap: expected an integer, got [1]"),
+        ({"min_overlap": {"a": 1}}, '--config: min_overlap: expected an integer, got {"a": 1}'),
+        ({"min-overlap": 3.5}, "--config: min-overlap: expected an integer, got 3.5"),
+        ({"min_overlap": True}, "--config: min_overlap: expected an integer, got true"),
+        ({"min_overlap": "x"}, '--config: min_overlap: expected an integer, got "x"'),
+        ({"deform": 1}, "--config: deform: expected true or false, got 1"),
+        ({"na_policy": "bogus"},
+         '--config: na_policy: expected one of empty_cell, literal_NA, got "bogus"'),
+        ({"phi_range": 0.5}, "--config: phi_range: expected a list of 2 values, got 0.5"),
+        ({"phi_range": [0.5, [2]]}, "--config: phi_range: expected a number, got [2]"),
+        ({"out": ["a"]}, '--config: out: expected a string, got ["a"]'),
+    ])
+    def test_bad_value_exit_2(self, tmp_path, capsys, panel, cfg, message):
+        assert self.analyze(tmp_path, panel, cfg) == (2, None)
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("cfg", [
+        {"min_overlap": 3},
+        {"min_overlap": "3"},
+        {"min_overlap": 3, "deform": False, "out": None, "factors": None},
+    ])
+    def test_valid_value_matches_flag(self, tmp_path, panel, cfg):
+        code, doc = self.analyze(tmp_path, panel, {"min_overlap": 12}, "--min-overlap", "3")
+        assert code == 0
+        assert self.analyze(tmp_path, panel, cfg) == (0, doc)
+
+    def test_number_for_float_flag(self, tmp_path):
+        rng = np.random.default_rng(7)
+        path = tmp_path / "corr.csv"
+        write_corr(path, np.corrcoef(rng.standard_normal((120, 8)).T))
+        cfg = tmp_path / "cfg.json"
+        knees = []
+        for doc, flags in [({}, []), ({}, ["--rel-drop", "1"]), ({"rel_drop": 1}, []),
+                           ({"rel-drop": "1"}, [])]:
+            cfg.write_text(json.dumps(doc))
+            out = tmp_path / "knee.json"
+            assert run(["--config", str(cfg), "clusters", str(path), "--kmax", "5",
+                        "--out", str(tmp_path / "sweep.csv"), "--summary-out", str(out),
+                        *flags]) == 0
+            knees.append(json.loads(out.read_text()))
+        assert knees[0] != knees[1] == knees[2] == knees[3]
+
 
 class TestClusters:
     def test_sweep_and_knee(self, tmp_path):

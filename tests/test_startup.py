@@ -1,0 +1,162 @@
+"""Start-up cost: scipy is imported only by the two functions that call it
+(eigen.lanczos_top_pair and factor_model.secular_roots), so importing the
+CLI loads no scipy module, and each command loads only what it uses.
+
+Every check runs in a fresh interpreter, because this test process has
+scipy loaded already.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from alphaturn import cli
+from alphaturn import panel as pm
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    p for p in [str(SRC), os.environ.get("PYTHONPATH")] if p))
+
+# Runs cli.main on its arguments and prints the exit code and the scipy
+# modules then loaded as the last line of stdout.
+RUN_MAIN = """
+import json, sys
+from alphaturn import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "scipy": sorted(m for m in sys.modules
+                                                if m.split(".")[0] == "scipy")}))
+"""
+
+
+def python(*args):
+    return subprocess.run([sys.executable, *args], env=ENV, capture_output=True,
+                          text=True, timeout=120)
+
+
+def import_chain(lines, i):
+    """The module on importtime line i, then the modules that imported it.
+    importtime prints a module after everything it imports, indented two
+    spaces deeper than its importer."""
+    def depth(line):
+        name = line.split("|")[2]
+        return len(name) - len(name.lstrip())
+
+    chain = [lines[i]]
+    for line in lines[i + 1:]:
+        if depth(line) < depth(chain[-1]):
+            chain.append(line)
+    return chain
+
+
+def test_cli_import_loads_no_scipy():
+    proc = python("-X", "importtime", "-c", "import alphaturn.cli")
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stderr.splitlines()
+             if line.startswith("import time:") and line.count("|") == 2]
+    names = [line.split("|")[2].strip() for line in lines]
+    assert "alphaturn.cli" in names
+    scipy_lines = [i for i, name in enumerate(names) if name.split(".")[0] == "scipy"]
+    assert not scipy_lines, "importing alphaturn.cli loads scipy:\n" + "\n".join(
+        import_chain(lines, scipy_lines[0]))
+
+
+def run_main(*argv):
+    proc = python("-c", RUN_MAIN, *map(str, argv))
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0, proc.stderr
+    return set(result["scipy"])
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A synth panel and its binary model, a rank-deficient correlation
+    matrix, old/new panels and loadings for ftest, and one model document
+    per model_eigenstructure path."""
+    d = tmp_path_factory.mktemp("startup")
+    assert cli.main(["synth", "--seed", "3", "--n", "12", "--clusters", "3",
+                     "--n-obs", "40", "--panel-out", str(d / "panel.csv"),
+                     "--model-out", str(d / "model.json")]) == 0
+    panel = pm.load_panel(d / "panel.csv")
+    assignment = json.loads((d / "model.json").read_text())["assignment"]
+    old = [j for j, a in enumerate(assignment) if a < 3]
+    pm.save_panel(pm.AlphaPanel(labels=[panel.labels[j] for j in old], times=panel.times,
+                                values=panel.values[:, old]), d / "old.csv")
+    for name, cols in [("old_loadings.csv", old), ("new_loadings.csv", range(12))]:
+        rows = [f"{panel.labels[j]},{assignment[j]}" for j in cols]
+        (d / name).write_text("\n".join(["alpha,cluster", *rows]) + "\n")
+
+    # 40 alphas and 12 observations: rank 11, so --deform replaces the
+    # matrix, and the replacement has no cached spectrum
+    psi = np.corrcoef(np.random.default_rng(4).standard_normal((12, 40)).T)
+    psi = (psi + psi.T) / 2.0
+    np.fill_diagonal(psi, 1.0)
+    pm.save_correlation(pm.CorrelationMatrix(psi=psi, vols=np.ones(40)), d / "corr.csv")
+
+    omega = [[1.0, 0.2], [0.8, 0.1], [0.1, 1.0], [0.2, 0.9]]
+    models = {
+        "closed-form-binary": {"mode": "binary", "sizes": [3, 1], "phi": [1.0, 1.0]},
+        "closed-form-nondiagonal": {"mode": "binary", "sizes": [3, 1],
+                                    "phi": [[1.0, 0.5], [0.5, 1.0]]},
+        "reduced-nonbinary": {"mode": "dense", "omega": omega, "phi": [1.0, 1.0]},
+        "dense": {"mode": "dense", "omega": omega, "phi": [1.0, 1.0],
+                  "xi": [0.3, 0.3, 0.3, 0.3]},
+    }
+    for method, doc in models.items():
+        (d / f"{method}.json").write_text(json.dumps(doc))
+    return d
+
+
+@pytest.mark.parametrize("method", ["closed-form-binary", "closed-form-nondiagonal",
+                                    "reduced-nonbinary", "dense"])
+@pytest.mark.parametrize("op", ["eigen", "rho-star"])
+def test_model_paths_load_no_scipy(inputs, method, op):
+    out = inputs / f"{method}-{op}.json"
+    assert run_main("model", inputs / f"{method}.json", "--op", op, "--out", out) == set()
+    assert json.loads(out.read_text())["method"] == method
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["synth", "--seed", "1", "--n", "12", "--clusters", "3", "--n-obs", "40",
+                  "--panel-out", "{d}/s.csv", "--model-out", "{d}/s.json"], id="synth"),
+    pytest.param(["ftest", "{d}/old.csv", "{d}/old_loadings.csv", "{d}/panel.csv",
+                  "{d}/new_loadings.csv", "--out", "{d}/f.csv", "--summary-out", "{d}/f.json"],
+                 id="ftest"),
+    pytest.param(["clusters", "{d}/corr.csv", "--deform", "--kmax", "5",
+                  "--out", "{d}/sweep.csv", "--summary-out", "{d}/knee.json"], id="clusters"),
+    pytest.param(["model", "{d}/model.json", "--op", "sweep-f", "--out", "{d}/sweep-f.csv"],
+                 id="sweep-f"),
+])
+def test_command_loads_no_scipy(inputs, argv):
+    assert run_main(*[a.format(d=inputs) for a in argv]) == set()
+
+
+def test_lanczos_loads_sparse_linalg_only(inputs):
+    loaded = run_main("analyze", inputs / "corr.csv", "--corr", "--deform",
+                      "--out", inputs / "analyze.json")
+    assert json.loads((inputs / "analyze.json").read_text())["deformed"]
+    assert "scipy.sparse.linalg" in loaded
+    assert not any(m.split(".")[:2] == ["scipy", "optimize"] for m in loaded)
+
+
+def test_rho_curve_loads_optimize(inputs):
+    assert "scipy.optimize" in run_main("model", inputs / "model.json", "--op", "rho-curve",
+                                        "--out", inputs / "curve.csv")
+
+
+def test_other_exception_propagates_without_scipy(inputs):
+    # with scipy.sparse.linalg never imported, the exit-3 handler must still
+    # let an unrelated exception through
+    code = ("import sys\nfrom alphaturn import cli\n"
+            "def boom(*a, **k):\n    raise RuntimeError('not a numerical failure')\n"
+            "cli.spectral_mod.spectral_summary = boom\n"
+            "cli.main(sys.argv[1:])\n")
+    proc = python("-c", code, "analyze", str(inputs / "corr.csv"), "--corr", "--deform")
+    assert proc.returncode == 1
+    assert proc.stderr.rstrip().endswith("RuntimeError: not a numerical failure")
+    assert "scipy" not in proc.stderr
