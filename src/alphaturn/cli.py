@@ -286,14 +286,27 @@ def main(argv=None):
             if idx + 1 == len(argv):
                 raise ValidationError("--config needs a JSON file path")
             doc = _read_json_object(argv[idx + 1], "config")
-            for action in parser._subparsers._group_actions:
-                for sp in action.choices.values():
-                    flags = {a.dest: a for a in sp._actions}
-                    sp.set_defaults(**{
-                        dest: _config_value(flags[dest], key, value)
-                        for key, value in doc.items()
-                        if (dest := key.replace("-", "_")) in flags
-                    })
+            subparsers = [sp for action in parser._subparsers._group_actions
+                          for sp in action.choices.values()]
+            # the flags (not the positionals or --help) of each subcommand
+            flags = [{a.dest: a for a in sp._actions if a.option_strings and a.dest != "help"}
+                     for sp in subparsers]
+            known = set().union(*flags)
+            for key in doc:
+                if key.replace("-", "_") not in known:
+                    raise ValidationError(f"--config: unknown key {key!r}")
+            for sp, sp_flags in zip(subparsers, flags):
+                defaults = {
+                    dest: _config_value(sp_flags[dest], key, value)
+                    for key, value in doc.items()
+                    if (dest := key.replace("-", "_")) in sp_flags
+                }
+                for dest, value in defaults.items():
+                    # argparse checks a required flag on the command line
+                    # only, so one that the config sets is optional
+                    if value is not None:
+                        sp_flags[dest].required = False
+                sp.set_defaults(**defaults)
         args = parser.parse_args(argv)
         args.func(args)
     except ValidationError as exc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,14 +184,10 @@ class FactorModel:
         """Model from a parsed model document, checked against MODEL_SCHEMA.
         A binary document gives its 1-based cluster ids as `assignment`, or
         as `sizes` for consecutive runs of alphas."""
-        import jsonschema  # slow to import, so only where a model is read
-
-        validator = jsonschema.Draft7Validator(MODEL_SCHEMA)
-        errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-        if errors:
-            err = errors[0]
-            pointer = "/" + "/".join(str(p) for p in err.absolute_path)
-            raise ValidationError(f"model schema violation at {pointer}: {err.message}")
+        violation = _schema_violation(doc)
+        if violation:
+            pointer, message = violation
+            raise ValidationError(f"model schema violation at {pointer}: {message}")
         if doc["mode"] == "binary" and "assignment" not in doc and "sizes" in doc:
             sizes = np.asarray(doc["sizes"], dtype=int)
             doc = dict(doc, assignment=np.repeat(np.arange(1, len(sizes) + 1), sizes))
@@ -206,6 +203,60 @@ class FactorModel:
             raise ValidationError(f"model schema violation at /{exc.args[0]}: missing") from None
         xi = np.asarray(doc.get("xi", np.zeros(omega.shape[0])), dtype=float)
         return cls(omega=omega, phi_cov=phi, xi=xi, mode=doc["mode"])
+
+
+def _is_number(x):
+    return isinstance(x, numbers.Number) and not isinstance(x, bool)
+
+
+def _is_integer(x):
+    return not isinstance(x, bool) and (
+        isinstance(x, int) or isinstance(x, float) and x.is_integer())
+
+
+# per-element type test, minimum and type name of the MODEL_SCHEMA arrays
+# whose items are numbers
+_ITEM_RULES = {
+    "assignment": (_is_integer, 1, "integer"),
+    "sizes": (_is_integer, 1, "integer"),
+    "xi": (_is_number, 0, "number"),
+}
+
+
+def _schema_violation(doc):
+    """(JSON pointer, message) of the first violation of MODEL_SCHEMA in
+    pointer order, worded as jsonschema's Draft7Validator words it, or None.
+    As in JSON Schema, 1.0 is an integer and a bool is not a number."""
+    if not isinstance(doc, dict):
+        return "/", f"{doc!r} is not of type 'object'"
+    for key in MODEL_SCHEMA["required"]:
+        if key not in doc:
+            return "/", f"{key!r} is a required property"
+    # the first violation lies under the first key, in sorted order, that
+    # has one; under it, in row-major order
+    for key in sorted(doc.keys() & MODEL_SCHEMA["properties"].keys()):
+        value = doc[key]
+        found = []  # (path below key, message)
+        if key == "mode":
+            if value not in ("binary", "dense"):
+                found = [((), f"{value!r} is not one of ['binary', 'dense']")]
+        elif not isinstance(value, list):
+            found = [((), f"{value!r} is not of type 'array'")]
+        elif key == "omega":
+            found = [((i,), f"{row!r} is not of type 'array'")
+                     for i, row in enumerate(value) if not isinstance(row, list)]
+            found += [((i, j), f"{x!r} is not of type 'number'")
+                      for i, row in enumerate(value) if isinstance(row, list)
+                      for j, x in enumerate(row) if not _is_number(x)]
+        elif key in _ITEM_RULES:
+            is_type, minimum, name = _ITEM_RULES[key]
+            found = [((i,), f"{x!r} is not of type {name!r}" if not is_type(x)
+                      else f"{x!r} is less than the minimum of {minimum!r}")
+                     for i, x in enumerate(value) if not is_type(x) or x < minimum]
+        if found:
+            path, message = min(found, key=lambda err: err[0])
+            return "/" + "/".join(map(str, (key, *path))), message
+    return None
 
 
 def _float_array(doc, key):
@@ -472,15 +523,18 @@ def model_eigenstructure(model):
 
 def _cluster_xi(model):
     """Per-cluster specific risk of a binary model (0 for an empty cluster),
-    or None where xi varies within a cluster."""
-    assignment = model.assignment
+    or None where xi varies within a cluster: the xi of each cluster's first
+    alpha, where every cluster's xi spans at most 1e-12."""
+    cluster = model.assignment - 1
+    lo = np.full(model.f, np.inf)
+    hi = np.full(model.f, -np.inf)
+    np.minimum.at(lo, cluster, model.xi)
+    np.maximum.at(hi, cluster, model.xi)
+    if np.any(hi - lo > 1e-12):  # -inf for an empty cluster
+        return None
+    used, first = np.unique(cluster, return_index=True)
     xi = np.zeros(model.f)
-    for a in range(model.f):
-        vals = model.xi[assignment == a + 1]
-        if vals.size:
-            if np.ptp(vals) > 1e-12:
-                return None
-            xi[a] = vals[0]
+    xi[used] = model.xi[first]
     return xi
 
 
@@ -511,46 +565,32 @@ def secular_roots(sizes, rho):
     if f == 1:
         return np.array([n])
 
-    # imported here, not at module level: scipy.optimize costs about 0.2 s
-    # to import, and only rho-curve and the secular checks need it
-    from scipy.optimize import brentq
-
     uniq, counts, poles = _secular_poles(sizes, rho)
     weights = counts * uniq.astype(float)
-
-    def fun(psi):
-        return rho * np.sum(weights / (psi - poles)) - 1.0
-
-    roots = []
     # m-fold duplicated sizes pin m-1 eigenvalues exactly at their pole
-    for p, m in zip(poles, counts):
-        roots.extend([p] * (m - 1))
-
-    def off_pole(pole, x, sign):
-        """x as a bracket end beside `pole`, where fun must have the sign
-        it takes next to that pole (+1 above it, -1 below). Where x rounds
-        onto the pole or lies past the root, the next float off the pole
-        instead; the flag is set where even that float lies past the root,
-        which is then that float to within one ulp."""
-        if x != pole and np.sign(fun(x)) == sign:
-            return x, False
-        x = np.nextafter(pole, sign * np.inf)
-        return x, np.sign(fun(x)) != sign
+    roots = np.repeat(poles, counts - 1)
 
     # one root strictly inside each gap between consecutive distinct poles,
-    # and one above the largest pole, below n (1 + rho) where fun < 0
-    last = len(poles) - 1
-    for k, lo in enumerate(poles):
-        hi = poles[k + 1] if k < last else n * (1.0 + rho)
-        gap = hi - lo
-        a, past_a = off_pole(lo, lo + 1e-13 * gap, 1)
-        b, past_b = off_pole(hi, hi - 1e-13 * gap, -1) if k < last else (hi, False)
-        if past_a or past_b:
-            roots.append(a if past_a else b)
-        else:
-            roots.append(brentq(fun, a, b, rtol=1e-14, xtol=1e-300, maxiter=200))
+    # and one above the largest pole, below n (1 + rho); the secular
+    # function falls across each gap, from +inf to -inf (to below 0 in the
+    # last). All gaps are bisected at once on the integer view of their
+    # float ends, which orders positive floats as their values do, until
+    # each gap is two adjacent floats: at most 63 halvings.
+    lo = poles.view(np.int64).copy()
+    hi = np.append(poles[1:], n * (1.0 + rho)).view(np.int64)
+    while (wide := np.flatnonzero(hi - lo > 1)).size:
+        mid = lo[wide] + (hi[wide] - lo[wide]) // 2
+        x = mid.view(float)
+        below = rho * np.sum(weights / (x[:, None] - poles), axis=1) > 1.0
+        lo[wide[below]] = mid[below]
+        hi[wide[~below]] = mid[~below]
+    # the end that is not a pole is hi: a root can lie within one float
+    # above its gap's lower pole, but it lies more than a fraction 1/(2N)
+    # of the upper pole below that pole, which for N < 2^51 is more than a
+    # float
+    roots = np.concatenate([roots, hi.view(float)])
 
-    roots = np.sort(np.asarray(roots))[::-1]
+    roots = np.sort(roots)[::-1]
     if abs(roots.sum() - n) > 1e-9 * max(n, 1.0):
         raise NumericalError("secular roots do not sum to N")
     return roots

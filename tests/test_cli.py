@@ -192,10 +192,18 @@ class TestConfig:
         assert self.analyze(tmp_path, panel, cfg) == (2, None)
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("key", ["min_overlpa", "input", "help", "config"])
+    def test_unknown_key_exit_2(self, tmp_path, capsys, panel, key):
+        # positionals, --help and the global --config are no subcommand flags
+        assert self.analyze(tmp_path, panel, {"min_overlap": 3, key: 3}) == (2, None)
+        assert capsys.readouterr().err == f"error: --config: unknown key {key!r}\n"
+
     @pytest.mark.parametrize("cfg", [
         {"min_overlap": 3},
         {"min_overlap": "3"},
         {"min_overlap": 3, "deform": False, "out": None, "factors": None},
+        # keys of other subcommands' flags are allowed
+        {"min_overlap": 3, "kmax": 5, "op": "eigen", "seed": 1, "winsor": 0.1},
     ])
     def test_valid_value_matches_flag(self, tmp_path, panel, cfg):
         code, doc = self.analyze(tmp_path, panel, {"min_overlap": 12}, "--min-overlap", "3")
@@ -217,6 +225,66 @@ class TestConfig:
                         *flags]) == 0
             knees.append(json.loads(out.read_text()))
         assert knees[0] != knees[1] == knees[2] == knees[3]
+
+
+# one command per subcommand with required flags, giving all of them on the
+# command line
+REQUIRED_ARGV = {
+    "clusters": ["clusters", "{d}/corr.csv", "--kmax", "5", "--out", "{d}/sweep.csv",
+                 "--summary-out", "{d}/knee.json"],
+    "model": ["model", "{d}/model.json", "--op", "rho-star", "--out", "{d}/rho.json"],
+    "synth": ["synth", "--seed", "5", "--n", "12", "--clusters", "3", "--n-obs", "40",
+              "--panel-out", "{d}/panel.csv", "--model-out", "{d}/model_out.json"],
+}
+REQUIRED_FLAGS = [("clusters", "--kmax"), ("model", "--op"), ("synth", "--seed"),
+                  ("synth", "--n"), ("synth", "--clusters"), ("synth", "--panel-out"),
+                  ("synth", "--model-out")]
+
+
+class TestRequiredFromConfig:
+    """A required flag that the config sets need not be on the command line."""
+
+    @pytest.fixture
+    def argv(self, tmp_path, request):
+        write_corr(tmp_path / "corr.csv", np.corrcoef(
+            np.random.default_rng(7).standard_normal((120, 8)).T))
+        (tmp_path / "model.json").write_text(
+            json.dumps({"mode": "binary", "sizes": [3, 1], "phi": [1.0, 1.0]}))
+        return [a.format(d=tmp_path) for a in REQUIRED_ARGV[request.param]]
+
+    @staticmethod
+    def out_paths(argv):
+        return [pathlib.Path(argv[i + 1]) for i, a in enumerate(argv) if a.endswith("-out")]
+
+    def test_every_required_flag_is_tested(self):
+        parser = cli.build_parser()
+        required = {(name, a.option_strings[-1])
+                    for action in parser._subparsers._group_actions
+                    for name, sp in action.choices.items()
+                    for a in sp._actions if a.required and a.option_strings}
+        assert required == set(REQUIRED_FLAGS)
+
+    @pytest.mark.parametrize("argv, flag", REQUIRED_FLAGS, indirect=["argv"])
+    def test_config_supplies_required_flag(self, tmp_path, argv, flag):
+        assert run(argv) == 0
+        want = [path.read_bytes() for path in self.out_paths(argv)]
+        for path in self.out_paths(argv):
+            path.unlink()
+        i = argv.index(flag)
+        value = argv[i + 1]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag[2:]: int(value) if value.isdigit() else value}))
+        assert run(["--config", str(cfg), *argv[:i], *argv[i + 2:]]) == 0
+        assert [path.read_bytes() for path in self.out_paths(argv)] == want
+
+    @pytest.mark.parametrize("argv", ["clusters"], indirect=True)
+    def test_null_leaves_flag_required(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kmax": None}))
+        with pytest.raises(SystemExit) as exc:
+            run(["--config", str(cfg), *argv[:2], *argv[4:]])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --kmax" in capsys.readouterr().err
 
 
 class TestClusters:
@@ -347,6 +415,21 @@ class TestModel:
         )
         assert run(["model", str(path), "--op", "eigen"]) == 2
         assert "/sizes/1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"mode": "binary"}, "/: 'phi' is a required property"),
+        ({"mode": "binary", "sizes": [3, 0.5], "phi": [1, 1]},
+         "/sizes/1: 0.5 is not of type 'integer'"),
+        ({"mode": "binary", "sizes": [3.0, 1], "phi": [1, 1], "xi": [0.1, True, -1]},
+         "/xi/1: True is not of type 'number'"),
+        ({"mode": "dense", "omega": [[1, 2], "x", [None]], "phi": [1, 1]},
+         "/omega/1: 'x' is not of type 'array'"),
+        ({"mode": "sparse", "phi": {}}, "/mode: 'sparse' is not one of ['binary', 'dense']"),
+    ])
+    def test_schema_violation_message(self, tmp_path, capsys, doc, message):
+        path = self._write_model(tmp_path, doc)
+        assert run(["model", str(path), "--op", "eigen"]) == 2
+        assert capsys.readouterr().err == f"error: model schema violation at {message}\n"
 
     def test_diagonal_phi_varying_xi_goes_dense(self, tmp_path):
         doc = {"mode": "binary", "sizes": [3, 2], "phi": [1, 1],

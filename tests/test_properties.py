@@ -1,12 +1,13 @@
 """Property tests: panels and correlation matrices round trip through save
 and load bit for bit, format_csv writes what a per-cell "%.17g" loop
-writes, secular_roots sum to N and interlace their poles, and sign
-canonicalization keeps psi1 and rho_star, with or without a cached
-spectrum."""
+writes, secular_roots sum to N, interlace their poles and match a 60-digit
+root, sign canonicalization keeps psi1 and rho_star, with or without a
+cached spectrum, the model-document check reports what jsonschema reports,
+and _cluster_xi gives what a per-cluster loop gives."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -155,3 +156,128 @@ def test_canonicalize_signs_keeps_psi1_and_rho_star(psi, cached):
     np.testing.assert_array_equal(again.psi, canon.psi)
     assert sp.spectral_summary(again).rho_star == pytest.approx(summary.rho_star,
                                                                 rel=1e-10, abs=1e-14)
+
+
+def mp_gap_roots(sizes, rho):
+    """The root of the secular equation in each gap between distinct poles
+    (and above the largest), bisected to 150 bits, or to the pole where
+    the root lies closer to it, in 60-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    uniq, counts = np.unique(sizes, return_counts=True)
+    roots = []
+    with mpmath.workdps(60):
+        rho = mpmath.mpf(rho)
+        poles = [(1 - rho) * int(u) for u in uniq]
+        weights = [int(c) * int(u) for c, u in zip(counts, uniq)]
+        for lo, hi in zip(poles, poles[1:] + [sum(sizes) * (1 + rho)]):
+            for _ in range(150):
+                mid = (lo + hi) / 2
+                if mid in (lo, hi):  # a root within 60 digits of its pole
+                    break
+                if rho * mpmath.fsum(w / (mid - p) for w, p in zip(weights, poles)) > 1:
+                    lo = mid
+                else:
+                    hi = mid
+            roots.append((lo + hi) / 2)
+    return roots
+
+
+@given(sizes=cluster_sizes, rho=open_unit)
+def test_secular_roots_match_60_digit_roots(sizes, rho):
+    """Each gap's root is within 1e-15 relative of its 60-digit value; the
+    m - 1 copies of a pole of multiplicity m are pinned and skipped."""
+    want = mp_gap_roots(sizes, rho)
+    roots = np.sort(fm.secular_roots(sizes, rho))
+    if len(sizes) == 1:
+        assert roots[0] == sum(sizes)
+        return
+    got = roots[np.cumsum(np.unique(sizes, return_counts=True)[1]) - 1]
+    for g, w in zip(got, want):
+        assert float(abs(g - w) / w) <= 1e-15
+
+
+# scalars at the edges of the schema's type and minimum rules
+json_scalars = st.sampled_from([1, 2, 10**20, 0, -1, 1.0, 2.0, 0.0, -0.0, 0.5, -0.5,
+                                float("nan"), float("inf"), -float("inf"), True, False,
+                                None, "a", ""]) | st.floats(-3.0, 3.0)
+json_values = st.recursive(json_scalars, lambda inner: st.lists(inner, max_size=3)
+                           | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+                           max_leaves=6)
+
+
+def weighted(*pairs):
+    """Draws from each (weight, strategy) with probability in proportion to
+    its weight."""
+    return st.sampled_from([s for w, s in pairs for _ in range(w)]).flatmap(lambda s: s)
+
+
+# arrays whose items are mostly valid, so that the first violation can lie
+# at any index, and rows of them for omega
+arrays = st.lists(weighted((4, st.sampled_from([1, 2, 3, 1.0, 2.0, 10**20])),
+                           (1, st.sampled_from([True, False, 0, -1, 0.0, -0.0, 0.5, -0.5])),
+                           (1, json_scalars)), max_size=4)
+fields = weighted((2, arrays), (2, st.lists(arrays, max_size=3)), (1, json_values))
+# valid values, so that a violation can also lie under a later key
+valid_fields = {
+    "sizes": st.lists(st.integers(1, 3), max_size=3),
+    "assignment": st.lists(st.integers(1, 3), max_size=3),
+    "xi": st.lists(st.floats(0.0, 2.0), max_size=3),
+    "omega": st.lists(st.lists(st.floats(-2.0, 2.0), max_size=2), max_size=3),
+    "other": json_values,
+}
+model_docs = weighted(
+    (7, st.fixed_dictionaries(
+        {"mode": weighted((3, st.sampled_from(["binary", "dense"])), (1, json_scalars)),
+         "phi": fields},
+        optional={key: weighted((2, valid), (1, fields)) for key, valid in valid_fields.items()})),
+    # mostly a required key missing
+    (2, st.dictionaries(st.sampled_from(["mode", "phi", *valid_fields]), fields)),
+    (1, json_values),  # mostly not an object
+)
+
+
+@settings(max_examples=300)
+@given(doc=model_docs)
+# the type rules: 1.0 is an integer, and a bool is neither an integer nor a number
+@example(doc={"mode": "binary", "phi": [], "sizes": [1.0, 2, True], "assignment": [0.0]})
+@example(doc={"mode": "dense", "phi": [], "xi": [0, 1.5, False], "omega": [[1], [-0.0, True]]})
+def test_schema_violation_matches_jsonschema(doc):
+    """Accept/reject, the pointer and the message of the first violation in
+    pointer order all agree with jsonschema's Draft7Validator."""
+    jsonschema = pytest.importorskip("jsonschema")
+    errors = sorted(jsonschema.Draft7Validator(fm.MODEL_SCHEMA).iter_errors(doc),
+                    key=lambda e: list(e.absolute_path))
+    want = None
+    if errors:
+        want = ("/" + "/".join(map(str, errors[0].absolute_path)), errors[0].message)
+    assert fm._schema_violation(doc) == want
+
+
+def loop_cluster_xi(model):
+    """The per-cluster loop that _cluster_xi replaced."""
+    assignment = model.assignment
+    xi = np.zeros(model.f)
+    for a in range(model.f):
+        vals = model.xi[assignment == a + 1]
+        if vals.size:
+            if np.ptp(vals) > 1e-12:
+                return None
+            xi[a] = vals[0]
+    return xi
+
+
+@given(f=st.integers(1, 5), data=st.data())
+def test_cluster_xi_matches_per_cluster_loop(f, data):
+    """Same xi, or None, as the loop, with empty clusters and within-cluster
+    spreads on either side of 1e-12."""
+    assignment = data.draw(st.lists(st.integers(1, f), min_size=1, max_size=12))
+    base = data.draw(st.lists(st.sampled_from([0.0, 0.3, 1.0]), min_size=f, max_size=f))
+    jitter = data.draw(st.lists(st.sampled_from([0.0, 0.0, 4e-13, 1e-12, 3e-12]),
+                                min_size=len(assignment), max_size=len(assignment)))
+    xi = [base[a - 1] + j for a, j in zip(assignment, jitter)]
+    model = fm.FactorModel(omega=fm.binary_loadings(assignment, f), phi_cov=np.eye(f),
+                           xi=xi, mode="binary")
+    got, want = fm._cluster_xi(model), loop_cluster_xi(model)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert_same_bits(got, want)

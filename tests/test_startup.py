@@ -1,6 +1,6 @@
-"""Start-up cost: scipy is imported only by the two functions that call it
-(eigen.lanczos_top_pair and factor_model.secular_roots), so importing the
-CLI loads no scipy module, and each command loads only what it uses.
+"""Start-up cost: scipy is imported only by the one function that calls it
+(eigen.lanczos_top_pair), so importing the CLI loads no scipy module, each
+command loads only what it uses, and no command loads jsonschema.
 
 Every check runs in a fresh interpreter, because this test process has
 scipy loaded already.
@@ -22,14 +22,14 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     p for p in [str(SRC), os.environ.get("PYTHONPATH")] if p))
 
-# Runs cli.main on its arguments and prints the exit code and the scipy
-# modules then loaded as the last line of stdout.
+# Runs cli.main on its arguments and prints the exit code and the scipy and
+# jsonschema modules then loaded as the last line of stdout.
 RUN_MAIN = """
 import json, sys
 from alphaturn import cli
 code = cli.main(sys.argv[1:])
-print(json.dumps({"code": code, "scipy": sorted(m for m in sys.modules
-                                                if m.split(".")[0] == "scipy")}))
+print(json.dumps({"code": code, "loaded": sorted(
+    m for m in sys.modules if m.split(".")[0] in ("scipy", "jsonschema"))}))
 """
 
 
@@ -70,7 +70,7 @@ def run_main(*argv):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["code"] == 0, proc.stderr
-    return set(result["scipy"])
+    return set(result["loaded"])
 
 
 @pytest.fixture(scope="module")
@@ -144,9 +144,21 @@ def test_lanczos_loads_sparse_linalg_only(inputs):
     assert not any(m.split(".")[:2] == ["scipy", "optimize"] for m in loaded)
 
 
-def test_rho_curve_loads_optimize(inputs):
-    assert "scipy.optimize" in run_main("model", inputs / "model.json", "--op", "rho-curve",
-                                        "--out", inputs / "curve.csv")
+def test_rho_curve_loads_no_scipy(inputs):
+    assert run_main("model", inputs / "model.json", "--op", "rho-curve",
+                    "--out", inputs / "curve.csv") == set()
+    assert len(pm.read_csv(inputs / "curve.csv", "curve")) == 11
+
+
+def test_model_paths_run_without_jsonschema(inputs):
+    # a None entry in sys.modules makes `import jsonschema` raise ImportError
+    code = ("import sys\nsys.modules['jsonschema'] = None\nfrom alphaturn import cli\n"
+            "sys.exit(max(cli.main(['model', f'{sys.argv[1]}/{m}.json', '--op', 'rho-star'])\n"
+            "             for m in sys.argv[2:]))\n")
+    methods = ["closed-form-binary", "closed-form-nondiagonal", "reduced-nonbinary", "dense"]
+    proc = python("-c", code, str(inputs), *methods)
+    assert proc.returncode == 0, proc.stderr
+    assert [json.loads(line)["method"] for line in proc.stdout.splitlines()] == methods
 
 
 def test_other_exception_propagates_without_scipy(inputs):
