@@ -211,9 +211,12 @@ def _config_scalar(action, key, value):
 
 
 def build_parser():
+    # no abbreviation such as --conf: main reads the config file only under
+    # the flag's full name
     parser = argparse.ArgumentParser(
         prog="alphaturn",
         description="Spectral and factor-model turnover-reduction analysis",
+        allow_abbrev=False,
     )
     parser.add_argument(
         "--config", help="JSON file whose keys mirror the command flags"
@@ -280,12 +283,16 @@ def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     try:
-        # --config supplies defaults for the flags of the chosen subcommand
-        if "--config" in argv:
-            idx = argv.index("--config")
-            if idx + 1 == len(argv):
-                raise ValidationError("--config needs a JSON file path")
-            doc = _read_json_object(argv[idx + 1], "config")
+        # --config supplies defaults for the flags of the chosen subcommand,
+        # given as "--config FILE" or "--config=FILE"
+        idx = next((i for i, a in enumerate(argv) if a.partition("=")[0] == "--config"), None)
+        if idx is not None:
+            _, eq, path = argv[idx].partition("=")
+            if not eq:
+                if idx + 1 == len(argv):
+                    raise ValidationError("--config needs a JSON file path")
+                path = argv[idx + 1]
+            doc = _read_json_object(path, "config")
             subparsers = [sp for action in parser._subparsers._group_actions
                           for sp in action.choices.values()]
             # the flags (not the positionals or --help) of each subcommand

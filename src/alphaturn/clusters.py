@@ -150,7 +150,9 @@ def knee_estimate(curve, rel_drop=0.05, window=3):
 
 
 def _through_origin_fstat(y, x):
-    """F-statistic of a no-intercept regression: (ESS/p) / (RSS/(n-p))."""
+    """F-statistic of a no-intercept regression: (ESS/p) / (RSS/(n-p)),
+    by least squares on one time step. The tests' reference for
+    _cluster_mean_fstats."""
     n, p = x.shape
     beta, *_ = np.linalg.lstsq(x, y, rcond=None)
     yhat = x @ beta
@@ -205,11 +207,40 @@ def winsorize(series, quantile):
     return np.clip(s, lo, hi)
 
 
+def _cluster_mean_fstats(values, omega):
+    """Through-origin F-statistics, (ESS/p) / (RSS/(n-p)), of every row of
+    `values` (times x alphas, NaN where missing) on binary loadings `omega`,
+    over each row's observed alphas. On binary loadings the fit is each
+    cluster's mean over its observed members, so three matrix products serve
+    every row. Returns (usable, F): a row is usable when it observes more
+    alphas than there are clusters and at least one member of every cluster;
+    F is NaN at the other rows and inf where RSS <= 0."""
+    mask = ~np.isnan(values)
+    p = omega.shape[1]
+    nobs = mask.sum(axis=1)
+    cnt = mask.astype(float) @ omega
+    usable = (nobs > p) & np.all(cnt > 0, axis=1)
+    mask, cnt, nobs = mask[usable], cnt[usable], nobs[usable]
+    y0 = np.where(mask, values[usable], 0.0)
+    yhat = np.where(mask, (y0 @ omega / cnt)[:, np.argmax(omega, axis=1)], 0.0)
+    ess = np.sum(yhat**2, axis=1)
+    # from the residuals, not as sum(y^2) - ESS, which cancels
+    rss = np.sum((y0 - yhat) ** 2, axis=1)
+    fit = rss > 0
+    f_usable = np.full(len(rss), np.inf)
+    f_usable[fit] = (ess[fit] / p) / (rss[fit] / (nobs[fit] - p))
+    f = np.full(len(values), np.nan)
+    f[usable] = f_usable
+    return usable, f
+
+
 def new_cluster_ftest(panel, omega_old, panel_new, omega_new, winsor=0.05):
     """Compare per-time cross-sectional F-statistics of the F-cluster model
     on the old alphas against the (F+1)-cluster model on old plus new
     alphas. Verdict: the new cluster is supported when the winsorized
-    median F-statistic improves."""
+    median F-statistic improves. A time step is skipped when either panel
+    leaves a cluster unobserved there or observes no more alphas than it has
+    clusters; a ValidationError is raised when every time step is skipped."""
     omega_old = _check_binary_loadings(omega_old, "omega_old")
     omega_new = _check_binary_loadings(omega_new, "omega_new")
     if list(panel.times) != list(panel_new.times):
@@ -219,28 +250,18 @@ def new_cluster_ftest(panel, omega_old, panel_new, omega_new, winsor=0.05):
     if omega_new.shape[0] != panel_new.n_alphas:
         raise ValidationError("omega_new rows must match the new panel width")
 
-    times, f_old, f_new, skipped = [], [], [], []
-    for s, t in enumerate(panel.times):
-        y_o = panel.values[s]
-        y_n = panel_new.values[s]
-        m_o = ~np.isnan(y_o)
-        m_n = ~np.isnan(y_n)
-        x_o = omega_old[m_o]
-        x_n = omega_new[m_n]
-        if (
-            m_o.sum() <= omega_old.shape[1]
-            or m_n.sum() <= omega_new.shape[1]
-            or np.any(x_o.sum(axis=0) == 0)
-            or np.any(x_n.sum(axis=0) == 0)
-        ):
-            skipped.append(t)
-            continue
-        times.append(t)
-        f_old.append(_through_origin_fstat(y_o[m_o], x_o))
-        f_new.append(_through_origin_fstat(y_n[m_n], x_n))
-
-    f_old = np.asarray(f_old)
-    f_new = np.asarray(f_new)
+    usable_old, f_old = _cluster_mean_fstats(panel.values, omega_old)
+    usable_new, f_new = _cluster_mean_fstats(panel_new.values, omega_new)
+    keep = usable_old & usable_new
+    if not keep.any():
+        raise ValidationError(
+            f"all {len(keep)} time steps were skipped: none observes every "
+            "cluster and more alphas than clusters in both panels"
+        )
+    times = [t for t, k in zip(panel.times, keep) if k]
+    skipped = [t for t, k in zip(panel.times, keep) if not k]
+    f_old = f_old[keep]
+    f_new = f_new[keep]
     w_old = winsorize(f_old, winsor)
     w_new = winsorize(f_new, winsor)
     med_old = float(np.median(w_old))

@@ -241,6 +241,44 @@ REQUIRED_FLAGS = [("clusters", "--kmax"), ("model", "--op"), ("synth", "--seed")
                   ("synth", "--model-out")]
 
 
+class TestConfigSpelling:
+    """main reads the config file under both spellings argparse accepts."""
+
+    @pytest.fixture
+    def model(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"mode": "binary", "sizes": [3, 1], "phi": [1.0, 1.0]}))
+        cfg = tmp_path / "cfg.json"
+        # --op is required, so a config that is not read fails the command
+        cfg.write_text(json.dumps({"op": "rho-curve", "grid": "0.1,0.5"}))
+        return path, cfg
+
+    def test_both_forms_give_identical_output(self, tmp_path, capsys, model):
+        path, cfg = model
+        outputs = []
+        for form in (["--config", str(cfg)], [f"--config={cfg}"]):
+            out = tmp_path / "curve.csv"
+            assert run([*form, "model", str(path), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+            out.unlink()
+        assert outputs[0] == outputs[1]
+        assert outputs[0].decode().splitlines()[0] == "rho,psi_star"
+        assert len(outputs[0].decode().splitlines()) == 3
+        assert capsys.readouterr().err == ""
+
+    def test_missing_file_in_equals_form_exit_2(self, tmp_path, capsys, model):
+        path, _ = model
+        missing = tmp_path / "missing.json"
+        assert run([f"--config={missing}", "model", str(path), "--op", "eigen"]) == 2
+        assert capsys.readouterr().err == f"error: config file not found: {missing}\n"
+
+    def test_abbreviated_flag_exit_2(self, model):
+        path, cfg = model
+        with pytest.raises(SystemExit) as exc:
+            run(["--conf", str(cfg), "model", str(path)])
+        assert exc.value.code == 2
+
+
 class TestRequiredFromConfig:
     """A required flag that the config sets need not be on the command line."""
 
@@ -585,6 +623,37 @@ class TestFTest:
         self._write_loadings(w, labels[:3], [1, 1, 2])  # a3 unmapped
         assert run(["ftest", str(p), str(w), str(p), str(w)]) == 2
         assert "a3" in capsys.readouterr().err
+
+    def test_every_time_skipped_exit_2(self, tmp_path, capsys):
+        # each time step observes both clusters but only 2 alphas, no more
+        # than its 2 clusters
+        labels = ["a0", "a1", "a2", "a3"]
+        vals = np.random.default_rng(4).standard_normal((4, 4))
+        vals[:2, [1, 3]] = np.nan
+        vals[2:, [0, 2]] = np.nan
+        p = tmp_path / "p.csv"
+        self._write_panel(p, vals, labels)
+        w = tmp_path / "w.csv"
+        self._write_loadings(w, labels, [1, 1, 2, 2])
+        summary = tmp_path / "s.json"
+        assert run(["ftest", str(p), str(w), str(p), str(w), "--out", str(tmp_path / "f.csv"),
+                    "--summary-out", str(summary)]) == 2
+        assert capsys.readouterr().err == (
+            "error: all 4 time steps were skipped: none observes every cluster and "
+            "more alphas than clusters in both panels\n")
+        assert not summary.exists()
+
+    def test_makes_no_lstsq_call(self, tmp_path, monkeypatch):
+        calls = []
+        real = np.linalg.lstsq
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        self.test_end_to_end(tmp_path)
+        assert calls == []
 
     @pytest.mark.parametrize("bad", [0, -1])
     def test_nonpositive_cluster_id_exit_2(self, tmp_path, capsys, bad):

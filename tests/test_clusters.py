@@ -222,6 +222,20 @@ class TestNewClusterFTest:
         assert report.skipped_times == ["t1"]
         assert len(report.times) == 2
 
+    def test_skips_time_unusable_in_either_panel(self):
+        rng = np.random.default_rng(5)
+        old = rng.standard_normal((4, 6)) + 2.0
+        new = np.column_stack([old, rng.standard_normal((4, 2))])
+        old[1, 3:] = np.nan  # old cluster 2 unobserved at t1
+        new[2, 6:] = np.nan  # the new cluster unobserved at t2
+        omega_old = np.repeat(np.eye(2), 3, axis=0)
+        omega_new = np.zeros((8, 3))
+        omega_new[:6, :2] = omega_old
+        omega_new[6:, 2] = 1.0
+        report = cl.new_cluster_ftest(self._panel(old), omega_old, self._panel(new), omega_new)
+        assert report.skipped_times == ["t1", "t2"]
+        assert report.times == ["t0", "t3"]
+
     def test_mismatched_times_rejected(self):
         vals = np.ones((2, 4)) + np.arange(2)[:, None]
         omega = np.zeros((4, 2))

@@ -3,7 +3,8 @@ and load bit for bit, format_csv writes what a per-cell "%.17g" loop
 writes, secular_roots sum to N, interlace their poles and match a 60-digit
 root, sign canonicalization keeps psi1 and rho_star, with or without a
 cached spectrum, the model-document check reports what jsonschema reports,
-and _cluster_xi gives what a per-cluster loop gives."""
+_cluster_xi gives what a per-cluster loop gives, and the F-test's cluster-mean
+F-statistics give what one least-squares fit per time step gives."""
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from alphaturn import clusters as cl
 from alphaturn import factor_model as fm
 from alphaturn import panel as pm
 from alphaturn import spectral as sp
@@ -281,3 +283,79 @@ def test_cluster_xi_matches_per_cluster_loop(f, data):
     assert (got is None) == (want is None)
     if want is not None:
         assert_same_bits(got, want)
+
+
+def per_time_fstats(values, omega):
+    """The per-time loop that _cluster_mean_fstats replaced: a time step is
+    usable when it observes more alphas than clusters and every cluster, and
+    its F-statistic is one least-squares fit over its observed alphas."""
+    usable = np.zeros(len(values), dtype=bool)
+    f = np.full(len(values), np.nan)
+    for s, y in enumerate(values):
+        observed = ~np.isnan(y)
+        x = omega[observed]
+        if observed.sum() > omega.shape[1] and np.all(x.sum(axis=0) > 0):
+            usable[s] = True
+            f[s] = cl._through_origin_fstat(y[observed], x)
+    return usable, f
+
+
+small_ints = st.integers(-3, 3).map(float)
+
+
+@st.composite
+def ftest_rows(draw):
+    """Binary loadings and a times x alphas panel of small integers, so that
+    a fit is either exact or leaves a residual far above roundoff, and each
+    cluster mean is zero or far from it. Some rows are offset by 256, where
+    RSS taken as sum(y^2) - ESS would cancel to errors near 1e-10. Cells
+    are missing at random (leaving clusters unobserved and rows with no more
+    observed alphas than clusters), and some rows are constant within every
+    cluster, an exact fit."""
+    f = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=f, max_size=f))
+    assignment = np.array(draw(st.permutations(np.repeat(np.arange(1, f + 1), sizes))))
+    m, n = draw(st.integers(1, 8)), len(assignment)
+    values = draw(hnp.arrays(float, (m, n), elements=small_ints))
+    constant = draw(hnp.arrays(bool, m))
+    levels = draw(hnp.arrays(float, (m, f), elements=small_ints))
+    values[constant] = levels[constant][:, assignment - 1]
+    values += draw(hnp.arrays(float, (m, 1), elements=st.sampled_from([0.0, 256.0])))
+    values[draw(hnp.arrays(bool, (m, n)))] = np.nan
+    return values, fm.binary_loadings(assignment, f)
+
+
+@given(rows=ftest_rows())
+def test_cluster_mean_fstats_match_per_time_lstsq(rows):
+    values, omega = rows
+    usable, f = cl._cluster_mean_fstats(values, omega)
+    want_usable, want = per_time_fstats(values, omega)
+    np.testing.assert_array_equal(usable, want_usable)
+    assert np.isnan(f[~usable]).all()
+    f, want = f[usable], want[usable]
+    # lstsq leaves roundoff in the residual of an exact fit, so its F there
+    # is inf or above 1e20, and in the fit of all-zero cluster means, so its
+    # F there is below 1e-20; no other fit of these rows comes near either
+    exact, zero = want > 1e20, want < 1e-20
+    np.testing.assert_array_equal(np.isinf(f), exact)
+    np.testing.assert_array_equal(f == 0, zero)
+    rest = ~exact & ~zero
+    np.testing.assert_allclose(f[rest], want[rest], rtol=1e-12, atol=0)
+
+
+def test_ftest_fixture_matches_per_time_oracle():
+    """The 100-seed acceptance fixture gives the per-time loop's kept and
+    skipped times and verdicts."""
+    from test_acceptance import _ftest_fixture
+
+    for kind in ("new_factor", "replicated"):
+        for seed in range(100):
+            p_old, omega_old, p_new, omega_new = _ftest_fixture(seed, kind)
+            report = cl.new_cluster_ftest(p_old, omega_old, p_new, omega_new)
+            usable_old, f_old = per_time_fstats(p_old.values, omega_old)
+            usable_new, f_new = per_time_fstats(p_new.values, omega_new)
+            keep = usable_old & usable_new
+            assert report.times == [t for t, k in zip(p_old.times, keep) if k]
+            assert report.skipped_times == [t for t, k in zip(p_old.times, keep) if not k]
+            medians = [np.median(cl.winsorize(f[keep], 0.05)) for f in (f_old, f_new)]
+            assert report.verdict == (medians[1] > medians[0])
