@@ -162,15 +162,6 @@ def cmd_ftest(args):
         sys.stdout.write(report.to_json() + "\n")
 
 
-def _arpack_errors():
-    """ArpackError as a one-element tuple once scipy.sparse.linalg has been
-    imported, else an empty tuple: before that import no ArpackError can
-    have been raised, and importing scipy here would put its cost on every
-    command's start-up."""
-    arpack = sys.modules.get("scipy.sparse.linalg")
-    return () if arpack is None else (arpack.ArpackError,)
-
-
 def _config_value(action, key, value):
     """A --config value, converted and checked as the flag's command-line
     value would be: argparse applies type= and choices to command-line
@@ -319,8 +310,7 @@ def main(argv=None):
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # the tuple is built only when an exception reaches this clause
-    except (NumericalError, np.linalg.LinAlgError, *_arpack_errors()) as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -137,6 +137,8 @@ def knee_estimate(curve, rel_drop=0.05, window=3):
     """Smallest K whose |zeta1| stops changing by more than rel_drop
     (relatively) over the next `window` steps. Returns (K, flat) where flat
     is False when the curve never levels off (K is then the last value)."""
+    if window < 1:
+        raise ValidationError(f"window must be at least 1, got {window}")
     z = np.abs(np.asarray(curve.zeta1))
     ks = curve.ks
     if len(ks) < window + 1:
@@ -240,7 +242,10 @@ def new_cluster_ftest(panel, omega_old, panel_new, omega_new, winsor=0.05):
     alphas. Verdict: the new cluster is supported when the winsorized
     median F-statistic improves. A time step is skipped when either panel
     leaves a cluster unobserved there or observes no more alphas than it has
-    clusters; a ValidationError is raised when every time step is skipped."""
+    clusters; a ValidationError is raised when every time step is skipped.
+    `winsor` must lie in [0, 0.5]."""
+    if not 0 <= winsor <= 0.5:
+        raise ValidationError(f"winsor must lie in [0, 0.5], got {winsor}")
     omega_old = _check_binary_loadings(omega_old, "omega_old")
     omega_new = _check_binary_loadings(omega_new, "omega_new")
     if list(panel.times) != list(panel_new.times):

@@ -490,11 +490,9 @@ def nonbinary_eigenvectors(model):
 
 def dense_rho_star(model, corr=None):
     """Oracle path: assemble the full correlation matrix (or take `corr`,
-    the model's already built one) and delegate to the spectral solver,
-    with the top pair taken from the dense spectrum."""
+    the model's already built one) and delegate to the spectral solver."""
     if corr is None:
         _, corr = build_covariance(model)
-    corr.spectrum  # cache the dense spectrum, so that no Lanczos is used
     return spectral_mod.spectral_summary(corr)
 
 

@@ -73,9 +73,8 @@ class CorrelationMatrix:
 
     Every consumer reads the eigendecomposition through `spectrum`, which
     is computed on first use and cached, so one matrix costs one O(N^3)
-    solve. `top_pair()` needs only the top eigenpair and takes it from the
-    cached spectrum, or by Lanczos when there is none. `psd` follows from
-    the spectrum. Nothing is computed at construction.
+    solve. `top_pair()` and `psd` follow from the spectrum. Nothing is
+    computed at construction.
     """
 
     def __init__(self, psi, vols, min_overlap=0, labels=None, spectrum=None):
@@ -96,7 +95,6 @@ class CorrelationMatrix:
         self.labels = [f"a{i + 1}" for i in range(n)] if labels is None else labels
         self._psd = None
         self._spectrum = spectrum
-        self._top = None
 
     @property
     def n(self):
@@ -117,15 +115,9 @@ class CorrelationMatrix:
         return self._psd
 
     def top_pair(self):
-        """(psi1, V1) under the tie rule of eigen.top_eigenvector; V1 has a
-        nonnegative sum. Taken from the cached spectrum when there is one,
-        otherwise by Lanczos, with the full spectrum as the fallback."""
-        if self._top is None:
-            if self._spectrum is None:
-                self._top = eigen.lanczos_top_pair(self.psi)
-            if self._top is None:
-                self._top = eigen.top_eigenvector(*self.spectrum)
-        return self._top
+        """(psi1, V1) from the spectrum under the tie rule of
+        eigen.top_eigenvector; V1 has a nonnegative sum."""
+        return eigen.top_eigenvector(*self.spectrum)
 
 
 @dataclass

@@ -59,15 +59,13 @@ def spectral_summary(corr, canonicalize=False):
     """Compute the top eigenpair and the turnover-reduction coefficient
     rho_star = psi1 * |sum(V1)| / N^(3/2).
 
-    The pair comes from `corr.top_pair()`: the matrix's cached spectrum
-    when there is one, otherwise Lanczos (dense eigh when Lanczos cannot
-    settle the top)."""
+    The pair comes from `corr.top_pair()`, so from the matrix's one cached
+    spectrum."""
     if canonicalize:
         _, corr = panel_mod.canonicalize_signs(corr)
     psi = corr.psi
     n = corr.n
     psi1, v1 = corr.top_pair()
-    v1 = v1.copy()
     rho_star = psi1 * abs(np.sum(v1)) / n**1.5
     total = float(np.sum(psi))
     rho_prime = total / n**2

@@ -4,7 +4,6 @@ import pathlib
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from alphaturn import cli
 from alphaturn import factor_model as fm
@@ -129,18 +128,8 @@ class TestAnalyze:
         assert run(["analyze", str(path), "--corr", "--deform"]) == 3
         assert "did not converge" in capsys.readouterr().err
 
-    def test_arpack_no_convergence_exit_3(self, tmp_path, monkeypatch):
-        path = tmp_path / "corr.csv"
-        write_corr(path, np.eye(4))
-
-        def boom(*a, **k):
-            raise ArpackNoConvergence("forced", np.empty(0), np.empty((0, 0)))
-
-        monkeypatch.setattr(cli.spectral_mod, "spectral_summary", boom)
-        assert run(["analyze", str(path), "--corr"]) == 3
-
     def test_other_exception_propagates(self, tmp_path, monkeypatch):
-        # ArpackError is a RuntimeError; a plain one is a bug, not exit 3
+        # only numerical failures exit 3; any other exception is a bug
         path = tmp_path / "corr.csv"
         write_corr(path, np.eye(4))
 
@@ -364,6 +353,13 @@ class TestClusters:
         path = tmp_path / "corr.csv"
         write_corr(path, np.eye(4) * 1.0)
         assert run(["clusters", str(path), "--kmax", "4"]) == 2
+
+    @pytest.mark.parametrize("window", ["0", "-1", "-20"])
+    def test_window_below_one_exit_2(self, tmp_path, capsys, window):
+        path = tmp_path / "corr.csv"
+        write_corr(path, np.corrcoef(np.random.default_rng(5).standard_normal((200, 40)).T))
+        assert run(["clusters", str(path), "--kmax", "8", "--window", window]) == 2
+        assert capsys.readouterr().err == f"error: window must be at least 1, got {window}\n"
 
 
 class TestModel:
@@ -654,6 +650,26 @@ class TestFTest:
         monkeypatch.setattr(np.linalg, "lstsq", counted)
         self.test_end_to_end(tmp_path)
         assert calls == []
+
+    @pytest.mark.parametrize("winsor", ["-0.1", "0.7", "1.5", "nan"])
+    def test_winsor_out_of_range_exit_2(self, tmp_path, capsys, winsor):
+        self.test_end_to_end(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "w.csv"
+        assert run(["ftest", *(str(tmp_path / f) for f in ("old.csv", "wold.csv", "new.csv",
+                    "wnew.csv")), "--winsor", winsor, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: winsor must lie in [0, 0.5], got {float(winsor)}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("winsor", ["0", "0.5"])
+    def test_winsor_at_range_ends_runs(self, tmp_path, winsor):
+        self.test_end_to_end(tmp_path)
+        summary = tmp_path / "w.json"
+        assert run(["ftest", *(str(tmp_path / f) for f in ("old.csv", "wold.csv", "new.csv",
+                    "wnew.csv")), "--winsor", winsor, "--out", str(tmp_path / "w.csv"),
+                    "--summary-out", str(summary)]) == 0
+        assert "verdict" in json.loads(summary.read_text())
 
     @pytest.mark.parametrize("bad", [0, -1])
     def test_nonpositive_cluster_id_exit_2(self, tmp_path, capsys, bad):

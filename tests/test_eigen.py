@@ -1,12 +1,11 @@
 """The shared spectral core: one cached eigendecomposition per correlation
-matrix, the Lanczos top pair, and the rank-1-downdate sweep, each checked
-against the dense path it replaces."""
+matrix, the top pair read from it, and the rank-1-downdate sweep, each
+checked against the dense path it replaces."""
 
 import json
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from alphaturn import cli
 from alphaturn import clusters as cl
@@ -80,92 +79,23 @@ class TestTopPair:
     @pytest.mark.parametrize("kind", ["random", "identity", "equal_blocks"])
     @pytest.mark.parametrize("n", [6, 20])
     def test_small_n_matches_dense_tie_rule(self, kind, n):
-        # below N = 4 * LANCZOS_MAX_K the block stops growing early
         psi = MATRICES[kind](n)
         psi1, v1 = fresh(psi).top_pair()
         want1, want_v = dense_top(psi)
         assert psi1 == pytest.approx(want1, rel=1e-12)
         np.testing.assert_allclose(v1, want_v, rtol=0, atol=1e-10)
 
-    def test_lanczos_serves_simple_top(self):
-        psi = random_corr(160, seed=1)
-        assert eigen.lanczos_top_pair(psi) is not None
-        assert eigen.lanczos_top_pair(psi[:20, :20]) is not None
-        # no block of k >= 2 fits below N / 4
-        assert eigen.lanczos_top_pair(psi[:7, :7]) is None
-
-    def test_block_grows_below_tied_top(self, monkeypatch):
-        # four tied clusters: the block must grow past the 4 top copies. The
-        # uniform start vector is an exact eigenvector here, and now and then
-        # ARPACK fails on it ("No shifts could be applied"); lanczos_top_pair
-        # then returns None and the dense solver gives the top pair
-        ks, raised = [], []
-        real = eigen.eigsh
-
-        def recorded(*args, k, **kwargs):
-            ks.append(k)
-            try:
-                return real(*args, k=k, **kwargs)
-            except eigen.ArpackError:
-                raised.append(k)
-                raise
-
-        monkeypatch.setattr(eigen, "eigsh", recorded)
-        psi = MATRICES["equal_blocks"](160)
-        want1, want_v = dense_top(psi)
-        top = eigen.lanczos_top_pair(psi)
-        assert max(ks) > 4
-        if top is None:
-            assert raised == [ks[-1]]
-        else:
-            assert raised == []
-            np.testing.assert_allclose(top[1], want_v, rtol=0, atol=1e-10)
-        psi1, v1 = fresh(psi).top_pair()
-        assert psi1 == pytest.approx(want1, rel=1e-12)
-        np.testing.assert_allclose(v1, want_v, rtol=0, atol=1e-10)
-
     def test_top_orthogonal_to_start_vector(self):
-        # Lanczos starts from the uniform vector; a top eigenvector with
-        # zero sum must still be found
-        rng = np.random.default_rng(9)
-        n = 160
-        a = rng.standard_normal((n, n))
-        u = rng.standard_normal(n)
-        u -= u.mean()
-        u /= np.linalg.norm(u)
-        proj = np.eye(n) - np.outer(u, u)
-        psi = proj @ (a @ a.T / n) @ proj + 4.2 * np.outer(u, u)
-        psi = (psi + psi.T) / 2.0
-        psi1, v1 = eigen.lanczos_top_pair(psi)
+        # the tie rule projects the uniform vector; a simple top eigenvector
+        # with zero sum must still be found. [[A, -A/2], [-A/2, A]] has the
+        # eigenvalues of A/2 on vectors (x, x) and of 3A/2 on vectors (x, -x)
+        a = random_corr(80, seed=9)
+        psi = np.block([[a, -0.5 * a], [-0.5 * a, a]])
+        psi1, v1 = fresh(psi).top_pair()
+        assert abs(np.sum(v1)) < 1e-10
         want1, want_v = dense_top(psi)
         assert psi1 == pytest.approx(want1, rel=1e-12)
         assert abs(v1 @ want_v) == pytest.approx(1.0, abs=1e-10)
-
-    def test_fully_degenerate_top_stops_at_max_k(self, monkeypatch):
-        # the identity's top eigenspace fills every block Lanczos computes;
-        # the block stops growing at LANCZOS_MAX_K and dense eigh takes over
-        ks = []
-        real = eigen.eigsh
-
-        def recorded(*args, k, **kwargs):
-            ks.append(k)
-            return real(*args, k=k, **kwargs)
-
-        monkeypatch.setattr(eigen, "eigsh", recorded)
-        assert eigen.lanczos_top_pair(np.eye(1000)) is None
-        assert ks == [2, 4, 8] and ks[-1] == eigen.LANCZOS_MAX_K
-
-    def test_arpack_failure_falls_back_to_dense(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise ArpackNoConvergence("forced", np.empty(0), np.empty((0, 0)))
-
-        monkeypatch.setattr(eigen, "eigsh", fail)
-        psi = random_corr(160, seed=2)
-        corr = fresh(psi)
-        psi1, v1 = corr.top_pair()
-        want1, want_v = dense_top(psi)
-        assert psi1 == want1
-        np.testing.assert_array_equal(v1, want_v)
 
     def test_cached_spectrum_is_used(self):
         corr = fresh(random_corr(160, seed=3))
@@ -208,18 +138,6 @@ class TestSpectrumCache:
         direct = sp.spectral_summary(fresh(new.psi.copy()))
         assert carried.rho_star == pytest.approx(direct.rho_star, rel=1e-12)
         np.testing.assert_allclose(carried.v1, direct.v1, rtol=0, atol=1e-12)
-
-    def test_dense_oracle_never_uses_lanczos(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("the dense oracle called eigsh")
-
-        monkeypatch.setattr(eigen, "eigsh", fail)
-        model = fm.ClusterSpec.from_sizes([20, 30, 40]).to_factor_model()
-        summary = fm.dense_rho_star(model)
-        _, corr = fm.build_covariance(model)
-        want1, want_v = dense_top(corr.psi)
-        assert summary.psi1 == want1
-        np.testing.assert_array_equal(summary.v1, want_v)
 
     def test_canonicalize_without_spectrum_computes_nothing(self):
         _, new = pm.canonicalize_signs(fresh(random_corr(20, seed=6)))
@@ -285,7 +203,8 @@ class TestDecompositionBudget:
         cluster_corr_csv(path, n)
         out = tmp_path / "out.json"
         argv = ["analyze", str(path), "--corr", "--deform", "--out", str(out)]
-        assert self.count(monkeypatch, n, argv) == 1
+        # one for the input, one for the deformed matrix
+        assert self.count(monkeypatch, n, argv) == 2
         assert json.loads(out.read_text())["deformed"] is True
 
     def test_clusters_deform(self, tmp_path, monkeypatch):

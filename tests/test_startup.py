@@ -1,9 +1,9 @@
-"""Start-up cost: scipy is imported only by the one function that calls it
-(eigen.lanczos_top_pair), so importing the CLI loads no scipy module, each
-command loads only what it uses, and no command loads jsonschema.
+"""Start-up cost and dependencies: the package imports only numpy, so
+importing the CLI loads no scipy module, no command loads scipy or
+jsonschema, and every command runs with either of them unimportable.
 
-Every check runs in a fresh interpreter, because this test process has
-scipy loaded already.
+Every check runs in a fresh interpreter, because this test process may have
+scipy loaded already (some tests use it as a reference).
 """
 
 import json
@@ -122,6 +122,11 @@ def test_model_paths_load_no_scipy(inputs, method, op):
 
 
 @pytest.mark.parametrize("argv", [
+    pytest.param(["analyze", "{d}/panel.csv", "--out", "{d}/a-panel.json"], id="analyze-panel"),
+    pytest.param(["analyze", "{d}/corr.csv", "--corr", "--out", "{d}/a-corr.json"],
+                 id="analyze-corr"),
+    pytest.param(["analyze", "{d}/corr.csv", "--corr", "--deform", "--out", "{d}/a-deform.json"],
+                 id="analyze-corr-deform"),
     pytest.param(["synth", "--seed", "1", "--n", "12", "--clusters", "3", "--n-obs", "40",
                   "--panel-out", "{d}/s.csv", "--model-out", "{d}/s.json"], id="synth"),
     pytest.param(["ftest", "{d}/old.csv", "{d}/old_loadings.csv", "{d}/panel.csv",
@@ -134,14 +139,6 @@ def test_model_paths_load_no_scipy(inputs, method, op):
 ])
 def test_command_loads_no_scipy(inputs, argv):
     assert run_main(*[a.format(d=inputs) for a in argv]) == set()
-
-
-def test_lanczos_loads_sparse_linalg_only(inputs):
-    loaded = run_main("analyze", inputs / "corr.csv", "--corr", "--deform",
-                      "--out", inputs / "analyze.json")
-    assert json.loads((inputs / "analyze.json").read_text())["deformed"]
-    assert "scipy.sparse.linalg" in loaded
-    assert not any(m.split(".")[:2] == ["scipy", "optimize"] for m in loaded)
 
 
 def test_rho_curve_loads_no_scipy(inputs):
@@ -161,9 +158,39 @@ def test_model_paths_run_without_jsonschema(inputs):
     assert [json.loads(line)["method"] for line in proc.stdout.splitlines()] == methods
 
 
+def test_every_command_runs_without_scipy(inputs):
+    # a None entry in sys.modules makes `import scipy` raise ImportError
+    code = ("import json, sys\nsys.modules['scipy'] = None\nfrom alphaturn import cli\n"
+            "print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[1])]))\n")
+    methods = ["closed-form-binary", "closed-form-nondiagonal", "reduced-nonbinary", "dense"]
+    ops = ["eigen", "rho-star", "rho-curve", "sweep-f"]
+    d = inputs
+    argvs = [
+        ["analyze", f"{d}/panel.csv", "--out", f"{d}/ns-panel.json"],
+        ["analyze", f"{d}/corr.csv", "--corr", "--deform", "--out", f"{d}/ns-deform.json"],
+        ["clusters", f"{d}/corr.csv", "--deform", "--kmax", "5", "--out", f"{d}/ns-sweep.csv",
+         "--summary-out", f"{d}/ns-knee.json"],
+        ["synth", "--seed", "2", "--n", "12", "--clusters", "3", "--n-obs", "40",
+         "--panel-out", f"{d}/ns-s.csv", "--model-out", f"{d}/ns-s.json"],
+        ["ftest", f"{d}/old.csv", f"{d}/old_loadings.csv", f"{d}/panel.csv",
+         f"{d}/new_loadings.csv", "--out", f"{d}/ns-f.csv", "--summary-out", f"{d}/ns-f.json"],
+    ] + [["model", f"{d}/{m}.json", "--op", op, "--out", f"{d}/ns-{m}-{op}.out"]
+         for m in methods for op in ops]
+    proc = python("-c", code, json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+    # rho-curve needs a binary model: the two non-binary paths exit 2
+    want = [0] * 5 + [2 if op == "rho-curve" and not m.startswith("closed-form") else 0
+                      for m in methods for op in ops]
+    assert json.loads(proc.stdout.splitlines()[-1]) == want, proc.stderr
+    assert proc.stderr.count("error: rho-curve requires a binary model") == 2
+    assert json.loads((d / "ns-deform.json").read_text())["deformed"]
+    for m in methods:
+        assert json.loads((d / f"ns-{m}-eigen.out").read_text())["method"] == m
+
+
 def test_other_exception_propagates_without_scipy(inputs):
-    # with scipy.sparse.linalg never imported, the exit-3 handler must still
-    # let an unrelated exception through
+    # the exit-3 handler catches numerical failures only: an unrelated
+    # exception reaches the user as a traceback, and nothing loads scipy
     code = ("import sys\nfrom alphaturn import cli\n"
             "def boom(*a, **k):\n    raise RuntimeError('not a numerical failure')\n"
             "cli.spectral_mod.spectral_summary = boom\n"
