@@ -119,6 +119,8 @@ def cmd_model(args):
         rows = [(rho, fm.secular_roots(sizes, rho)[0]) for rho in grid]
         _emit(panel_mod.format_csv(["rho", "psi_star"], rows), args.out)
     elif args.op == "sweep-f":
+        if args.fmax < 1:
+            raise ValidationError(f"--fmax must be at least 1, got {args.fmax}")
         fs = range(1, args.fmax + 1)
         _emit(panel_mod.format_csv(["F", "rho_star_min"], [[f ** -1.5] for f in fs], fs), args.out)
 

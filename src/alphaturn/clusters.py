@@ -136,9 +136,12 @@ def residual_correlation_sweep(corr, k_max, loadings=None):
 def knee_estimate(curve, rel_drop=0.05, window=3):
     """Smallest K whose |zeta1| stops changing by more than rel_drop
     (relatively) over the next `window` steps. Returns (K, flat) where flat
-    is False when the curve never levels off (K is then the last value)."""
+    is False when the curve never levels off (K is then the last value).
+    rel_drop must be finite and greater than 0."""
     if window < 1:
         raise ValidationError(f"window must be at least 1, got {window}")
+    if not 0 < rel_drop < math.inf:
+        raise ValidationError(f"rel_drop must be finite and greater than 0, got {rel_drop}")
     z = np.abs(np.asarray(curve.zeta1))
     ks = curve.ks
     if len(ks) < window + 1:

@@ -11,6 +11,7 @@ import csv
 import math
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,6 +138,66 @@ def read_csv(path, kind):
         return list(csv.reader(fh))
 
 
+def _read_lines(path, kind):
+    """The lines of the text file at `path`, without their line ends (which
+    may be \\n, \\r\\n or \\r, as for csv.reader); `kind` names the file in
+    the not-found error."""
+    if not os.path.exists(path):
+        raise ValidationError(f"{kind} file not found: {path}")
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def _parse_cells(lines, width, na_tokens=None):
+    """(labels, values) of CSV `lines` that each hold a label cell and
+    `width` numeric cells: the text before each line's first comma, and the
+    cells after it, parsed by one np.loadtxt call into a (len(lines), width)
+    float array. `na_tokens` None allows no missing cell; a tuple makes
+    empty cells and cells equal to one of its tokens NaN, and then no other
+    cell may be non-finite.
+
+    Returns None where csv.reader and float() might read the lines
+    otherwise or reject them: a quoted label, a blank line, a row of
+    another width, a non-finite cell under `na_tokens`, or a cell that
+    np.loadtxt cannot parse. The last includes cells that float() accepts:
+    digit underscores, non-ASCII digits, and missing cells padded with
+    blanks or quoted. The caller then reads the file cell by cell.
+    """
+    labels = [line.partition(",")[0] for line in lines]
+    if any(label.startswith('"') for label in labels):
+        return None
+    if not lines:
+        return labels, np.empty((0, width))
+    bodies = (line.partition(",")[2] for line in lines)
+    if na_tokens is not None:
+        text = "\n".join(bodies)
+        if "nan" in text.lower():  # a literal NaN cell, which is not missing
+            return None
+        # with a comma on both sides of every cell a missing cell reads
+        # ",token,"; replace twice, as adjacent cells share a comma
+        text = "," + text.replace("\n", ",\n,") + ","
+        for token in ("", *na_tokens):
+            for _ in range(2):
+                text = text.replace(f",{token},", ",nan,")
+        bodies = text[1:-1].split(",\n,")
+    try:
+        with warnings.catch_warnings():
+            # np.loadtxt warns when every line is blank
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(bodies, delimiter=",", comments=None, quotechar='"', ndmin=2)
+    except ValueError:
+        return None
+    # np.loadtxt skips blank lines, so a shape check finds them
+    if values.shape != (len(lines), width):
+        return None
+    if na_tokens is not None and np.isinf(values).any():
+        return None
+    return labels, values
+
+
 def format_csv(header, values, labels=None):
     """CSV text of a header row and the rows of a 2-D float array, each
     row led by its label when `labels` is given. Floats are written with
@@ -158,6 +219,23 @@ def load_panel(path, na_policy="empty_cell"):
     """
     if na_policy not in ("empty_cell", "literal_NA"):
         raise ValidationError(f"unknown na_policy {na_policy!r}")
+    lines = _read_lines(path, "panel")
+    header = next(csv.reader(lines[:1]), [])
+    parsed = None
+    if len(header) >= 3 and header[0] == "time":
+        na_tokens = ("NA",) if na_policy == "literal_NA" else ()
+        parsed = _parse_cells(lines[1:], len(header) - 1, na_tokens)
+    if parsed is None:
+        header, times, values = _scan_panel(path, na_policy)
+    else:
+        times, values = parsed
+    return AlphaPanel(labels=header[1:], times=times, values=values)
+
+
+def _scan_panel(path, na_policy):
+    """(header, times, values) of the panel CSV at `path`, read cell by cell
+    with csv.reader and float(); raises naming the first bad row or cell.
+    load_panel falls back to it where _parse_cells declines the file."""
     rows = read_csv(path, "panel")
     if not rows or len(rows[0]) < 3 or rows[0][0] != "time":
         raise ValidationError(f"{path}: header must be 'time,<label1>,...,<labelN>'")
@@ -188,7 +266,7 @@ def load_panel(path, na_policy="empty_cell"):
                     )
                 vals.append(value)
         data.append(vals)
-    return AlphaPanel(labels=labels, times=times, values=np.array(data))
+    return rows[0], times, np.array(data, dtype=float).reshape(len(data), len(labels))
 
 
 def save_panel(panel, path):
@@ -364,6 +442,41 @@ def deform_correlation(corr, noise_floor=1e-10):
 
 def load_correlation(path):
     """Read a correlation matrix CSV (label header row and column)."""
+    lines = _read_lines(path, "correlation")
+    labels = next(csv.reader(lines[:1]), [])[1:]
+    parsed = None
+    if len(lines) - 1 == len(labels) >= 2:
+        parsed = _parse_cells(lines[1:], len(labels))
+    del lines
+    if parsed is not None and parsed[0] == labels:
+        psi = parsed[1]
+    else:
+        labels, psi = _scan_correlation(path)
+    n = len(labels)
+    bad = np.argwhere(~np.isfinite(psi))
+    if bad.size:
+        r, c = bad[0]
+        raise ValidationError(
+            f"{path}: row {r + 2}, column {c + 2}: non-finite value {float(psi[r, c])}"
+        )
+    asym = np.abs(psi - psi.T)
+    i, j = np.unravel_index(np.argmax(asym), asym.shape)
+    if asym[i, j] > 1e-12:
+        raise ValidationError(
+            f"{path}: matrix is not symmetric: ({labels[i]}, {labels[j]}) is "
+            f"{float(psi[i, j])!r} but ({labels[j]}, {labels[i]}) is {float(psi[j, i])!r}"
+        )
+    del asym
+    # within the tolerance: make the matrix exactly symmetric
+    psi = (psi + psi.T) / 2.0
+    np.fill_diagonal(psi, 1.0)
+    return CorrelationMatrix(psi=psi, vols=np.ones(n), labels=labels)
+
+
+def _scan_correlation(path):
+    """(labels, psi) of the correlation CSV at `path`, read cell by cell
+    with csv.reader and float(); raises naming the first bad row or cell.
+    load_correlation falls back to it where _parse_cells declines the file."""
     rows = read_csv(path, "correlation")
     if len(rows) < 3:
         raise ValidationError(f"{path}: expected at least a 2x2 matrix")
@@ -385,26 +498,9 @@ def load_correlation(path):
                     raise ValidationError(
                         f"{path}: row {r + 2}, column {c}: cannot parse {cell!r}"
                     ) from None
-    del rows
-    bad = np.argwhere(~np.isfinite(psi))
-    if bad.size:
-        r, c = bad[0]
-        raise ValidationError(
-            f"{path}: row {r + 2}, column {c + 2}: non-finite value {float(psi[r, c])}"
-        )
-    asym = np.abs(psi - psi.T)
-    i, j = np.unravel_index(np.argmax(asym), asym.shape)
-    if asym[i, j] > 1e-12:
-        raise ValidationError(
-            f"{path}: matrix is not symmetric: ({labels[i]}, {labels[j]}) is "
-            f"{float(psi[i, j])!r} but ({labels[j]}, {labels[i]}) is {float(psi[j, i])!r}"
-        )
-    del asym
-    # within the tolerance: make the matrix exactly symmetric
-    psi = (psi + psi.T) / 2.0
-    np.fill_diagonal(psi, 1.0)
-    return CorrelationMatrix(psi=psi, vols=np.ones(n), labels=labels)
+    return labels, psi
 
 
 def save_correlation(corr, path):
     _atomic_write(path, format_csv(["", *corr.labels], corr.psi, corr.labels))
+

@@ -1,6 +1,7 @@
 import importlib
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -361,6 +362,17 @@ class TestClusters:
         assert run(["clusters", str(path), "--kmax", "8", "--window", window]) == 2
         assert capsys.readouterr().err == f"error: window must be at least 1, got {window}\n"
 
+    @pytest.mark.parametrize("rel_drop", ["-1", "0", "nan", "inf"])
+    def test_rel_drop_not_positive_and_finite_exit_2(self, tmp_path, capsys, rel_drop):
+        path = tmp_path / "corr.csv"
+        write_corr(path, np.corrcoef(np.random.default_rng(5).standard_normal((200, 40)).T))
+        summary = tmp_path / "knee.json"
+        assert run(["clusters", str(path), "--kmax", "8", "--rel-drop", rel_drop,
+                    "--out", str(tmp_path / "sweep.csv"), "--summary-out", str(summary)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: rel_drop must be finite and greater than 0, got {float(rel_drop)}\n")
+        assert not summary.exists()
+
 
 class TestModel:
     def _write_model(self, tmp_path, doc):
@@ -436,6 +448,17 @@ class TestModel:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "F,rho_star_min"
         assert float(lines[4].split(",")[1]) == pytest.approx(4.0**-1.5, rel=1e-12)
+
+    @pytest.mark.parametrize("fmax", ["0", "-3"])
+    def test_sweep_f_fmax_below_one_exit_2(self, tmp_path, capsys, fmax):
+        path = self._write_model(
+            tmp_path, {"mode": "binary", "sizes": [2, 2], "phi": [1.0, 1.0]}
+        )
+        out = tmp_path / "sweep.csv"
+        assert run(["model", str(path), "--op", "sweep-f", "--fmax", fmax,
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --fmax must be at least 1, got {fmax}\n"
+        assert not out.exists()
 
     def test_schema_violation_exit_2(self, tmp_path, capsys):
         path = self._write_model(tmp_path, {"mode": "binary", "sizes": [3, 0]})
@@ -681,6 +704,88 @@ class TestFTest:
         self._write_loadings(w, labels, [1, bad, 2, 2])
         assert run(["ftest", str(p), str(w), str(p), str(w)]) == 2
         assert f"{w}: row 3: bad cluster id '{bad}'" in capsys.readouterr().err
+
+
+# Malformed panel and correlation files: (file text, extra analyze flags,
+# message, where {path} stands for the file's path). Each exits 2 with only
+# that message on stderr.
+MALFORMED = {
+    "panel-blank-line": ("time,a,b\n1,0.1,0.2\n\n3,0.3,0.1\n", [],
+                         "{path}: row 3 has 0 fields, expected 3"),
+    "panel-trailing-comma": ("time,a,b\n1,0.1,0.2\n2,0.2,0.1,\n", [],
+                             "{path}: row 3 has 4 fields, expected 3"),
+    "panel-ragged-row": ("time,a,b\n1,0.1,0.2\n2,0.2\n3,0.3,0.1\n", [],
+                         "{path}: row 3 has 2 fields, expected 3"),
+    "panel-times-only": ("time,a,b\n1\n2\n", [],
+                         "{path}: row 2 has 1 fields, expected 3"),
+    "panel-header-only": ("time,a,b\n", [], "need at least 2 observations, got 0"),
+    "panel-nan": ("time,a,b\n1,0.1,0.2\n2,nan,0.1\n3,0.3,\n", [],
+                  "{path}: row 3, column 2: non-finite value 'nan'"),
+    "panel-inf": ("time,a,b\n1,0.1,0.2\n2,0.2,-inf\n", [],
+                  "{path}: row 3, column 3: non-finite value '-inf'"),
+    "panel-1e400": ("time,a,b\n1,0.1,NA\n2,1e400,0.1\n", [],
+                    "{path}: row 3, column 2: non-finite value '1e400'"),
+    "panel-NA-under-empty-cell": ("time,a,b\n1,0.1,NA\n2,0.2,0.1\n",
+                                  ["--na-policy", "empty_cell"],
+                                  "{path}: row 2, column 3: cannot parse 'NA'"),
+    "panel-bad-cell": ("time,a,b\n1,0.1,0.2\n2,0.2,x\n3,nan,0.1\n", [],
+                       "{path}: row 3, column 3: cannot parse 'x'"),
+    "corr-blank-line": (",a,b\na,1,0.5\n\nb,0.5,1\n", ["--corr"],
+                        "{path}: expected 2 matrix rows, got 3"),
+    "corr-trailing-comma": (",a,b\na,1,0.5,\nb,0.5,1\n", ["--corr"],
+                            "{path}: row 2 does not match header labels"),
+    "corr-ragged-row": (",a,b,c\na,1,0.5,0.1\nb,0.5,1\nc,0.1,0.2,1\n", ["--corr"],
+                        "{path}: row 3 does not match header labels"),
+    "corr-label-mismatch": (",a,b\na,1,0.5\nc,0.5,1\n", ["--corr"],
+                            "{path}: row 3 does not match header labels"),
+    "corr-labels-only": (",a,b\na\nb\n", ["--corr"],
+                         "{path}: row 2 does not match header labels"),
+    "corr-empty-cell": (",a,b\na,1,\nb,0.5,1\n", ["--corr"],
+                        "{path}: row 2, column 3: cannot parse ''"),
+    "corr-nan": (",a,b\na,1,nan\nb,nan,1\n", ["--corr"],
+                 "{path}: row 2, column 3: non-finite value nan"),
+    "corr-inf": (",a,b\na,1,0.5\nb,inf,1\n", ["--corr"],
+                 "{path}: row 3, column 2: non-finite value inf"),
+    "corr-1e400": (",a,b\na,1,-1e400\nb,0.5,1\n", ["--corr"],
+                   "{path}: row 2, column 3: non-finite value -inf"),
+    "corr-bad-cell-after-nan": (",a,b\na,1,nan\nb,0.5 0,1\n", ["--corr"],
+                                "{path}: row 3, column 2: cannot parse '0.5 0'"),
+    "corr-header-only": (",a,b\n", ["--corr"], "{path}: expected at least a 2x2 matrix"),
+}
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("text,flags,message", MALFORMED.values(), ids=MALFORMED)
+    def test_exit_2_with_message_only(self, tmp_path, capsys, text, flags, message):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            # a warning would reach stderr outside pytest
+            warnings.simplefilter("error")
+            assert run(["analyze", str(path), "--min-overlap", "1", *flags]) == 2
+        assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
+
+
+class TestFloatGrammar:
+    """Cells np.loadtxt does not parse but float() does (digit underscores,
+    non-ASCII digits, padded and quoted NA cells, quoted labels) still load,
+    cell by cell."""
+
+    def test_panel(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text('time,a,b\n1,1_0, NA \n2,\u0661\u0662,"NA"\n"3",0.5,0.25\n'
+                        '4,-0.5,\t\n5,0.1,0.2\n')
+        panel = pm.load_panel(path, na_policy="literal_NA")
+        assert panel.times == ["1", "2", "3", "4", "5"]
+        np.testing.assert_array_equal(
+            panel.values, [[10, np.nan], [12, np.nan], [0.5, 0.25], [-0.5, np.nan], [0.1, 0.2]])
+
+    def test_correlation(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text(',a,"b,c"\na,1,0.2_5\n"b,c",\u0660.25,1\n')
+        corr = pm.load_correlation(path)
+        assert corr.labels == ["a", "b,c"]
+        np.testing.assert_array_equal(corr.psi, [[1, 0.25], [0.25, 1]])
 
 
 class TestTracedLayers:

@@ -80,6 +80,29 @@ class TestLoadPanel:
             pm.load_panel(p)
 
 
+class TestParseCells:
+    def test_missing_cells_parse_in_one_call(self):
+        # adjacent missing cells share a comma
+        labels, values = pm._parse_cells(["1,,,0.5", "2,NA,NA,", "3,0.25,,NA"], 3, ("NA",))
+        assert labels == ["1", "2", "3"]
+        np.testing.assert_array_equal(
+            values, [[np.nan, np.nan, 0.5], [np.nan, np.nan, np.nan], [0.25, np.nan, np.nan]])
+
+    @pytest.mark.parametrize("lines,na_tokens", [
+        (['"a",0.5', "b,0.5"], None),  # csv.reader unquotes the label
+        (["a,0.5", "", "b,0.5"], None),  # np.loadtxt skips the blank line
+        (["a,0.5,", "b,0.5"], None),
+        (["a,", "b,0.5"], None),
+        (["a,1_0", "b,0.5"], None),
+        (["a,nan", "b,0.5"], ()),  # only a missing cell may be NaN
+        (["a,1e400", "b,0.5"], ()),
+        (["a,NA", "b,0.5"], ()),
+        (["a, NA", "b,0.5"], ("NA",)),
+    ])
+    def test_declines_for_the_cell_by_cell_reading(self, lines, na_tokens):
+        assert pm._parse_cells(lines, 1, na_tokens) is None
+
+
 def _write_corr_text(path, labels, rows):
     lines = ["," + ",".join(labels)]
     lines += [lab + "," + ",".join(row) for lab, row in zip(labels, rows)]

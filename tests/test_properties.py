@@ -3,8 +3,12 @@ and load bit for bit, format_csv writes what a per-cell "%.17g" loop
 writes, secular_roots sum to N, interlace their poles and match a 60-digit
 root, sign canonicalization keeps psi1 and rho_star, with or without a
 cached spectrum, the model-document check reports what jsonschema reports,
-_cluster_xi gives what a per-cluster loop gives, and the F-test's cluster-mean
-F-statistics give what one least-squares fit per time step gives."""
+_cluster_xi gives what a per-cluster loop gives, the F-test's cluster-mean
+F-statistics give what one least-squares fit per time step gives, and the
+np.loadtxt panel and correlation loaders read any file as csv.reader and a
+per-cell float() loop read it."""
+
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from alphaturn import clusters as cl
 from alphaturn import factor_model as fm
 from alphaturn import panel as pm
 from alphaturn import spectral as sp
+from alphaturn.errors import ValidationError
 
 # values a 17-digit round trip must keep exactly, drawn more often than
 # st.floats alone would draw them
@@ -70,6 +75,200 @@ def test_correlation_roundtrip_is_bit_exact(tmp_path_factory, corr):
     back = pm.load_correlation(path)
     assert back.labels == corr.labels
     assert_same_bits(back.psi, corr.psi)
+
+
+def csv_reader_load_panel(path, na_policy):
+    """load_panel as csv.reader and a per-cell float() loop read it, the
+    reference for the np.loadtxt reading (for files with a data row)."""
+    rows = pm.read_csv(path, "panel")
+    if not rows or len(rows[0]) < 3 or rows[0][0] != "time":
+        raise ValidationError(f"{path}: header must be 'time,<label1>,...,<labelN>'")
+    labels = rows[0][1:]
+    times = []
+    data = []
+    for r, row in enumerate(rows[1:], start=2):
+        if len(row) != len(labels) + 1:
+            raise ValidationError(
+                f"{path}: row {r} has {len(row)} fields, expected {len(labels) + 1}"
+            )
+        times.append(row[0])
+        vals = []
+        for c, cell in enumerate(row[1:], start=2):
+            cell = cell.strip()
+            if cell == "" or (na_policy == "literal_NA" and cell == "NA"):
+                vals.append(np.nan)
+            else:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ValidationError(
+                        f"{path}: row {r}, column {c}: cannot parse {cell!r}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise ValidationError(
+                        f"{path}: row {r}, column {c}: non-finite value {cell!r}"
+                    )
+                vals.append(value)
+        data.append(vals)
+    return pm.AlphaPanel(labels=labels, times=times, values=np.array(data))
+
+
+def csv_reader_load_correlation(path):
+    """load_correlation as csv.reader and a per-cell float() loop read it."""
+    rows = pm.read_csv(path, "correlation")
+    if len(rows) < 3:
+        raise ValidationError(f"{path}: expected at least a 2x2 matrix")
+    labels = rows[0][1:]
+    n = len(labels)
+    if len(rows) != n + 1:
+        raise ValidationError(f"{path}: expected {n} matrix rows, got {len(rows) - 1}")
+    psi = np.empty((n, n))
+    for r, row in enumerate(rows[1:]):
+        if len(row) != n + 1 or row[0] != labels[r]:
+            raise ValidationError(f"{path}: row {r + 2} does not match header labels")
+        try:
+            psi[r] = [float(c) for c in row[1:]]
+        except ValueError:
+            for c, cell in enumerate(row[1:], start=2):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ValidationError(
+                        f"{path}: row {r + 2}, column {c}: cannot parse {cell!r}"
+                    ) from None
+    bad = np.argwhere(~np.isfinite(psi))
+    if bad.size:
+        r, c = bad[0]
+        raise ValidationError(
+            f"{path}: row {r + 2}, column {c + 2}: non-finite value {float(psi[r, c])}"
+        )
+    asym = np.abs(psi - psi.T)
+    i, j = np.unravel_index(np.argmax(asym), asym.shape)
+    if asym[i, j] > 1e-12:
+        raise ValidationError(
+            f"{path}: matrix is not symmetric: ({labels[i]}, {labels[j]}) is "
+            f"{float(psi[i, j])!r} but ({labels[j]}, {labels[i]}) is {float(psi[j, i])!r}"
+        )
+    psi = (psi + psi.T) / 2.0
+    np.fill_diagonal(psi, 1.0)
+    return pm.CorrelationMatrix(psi=psi, vols=np.ones(n), labels=labels)
+
+
+def outcome(load, *args):
+    """What a loader returns, or the message of the ValidationError it raises."""
+    try:
+        return load(*args)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def assert_same_outcome(got, want, fields):
+    """Equal messages, or equal `fields` (label lists or float arrays)."""
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+        return
+    for name in fields:
+        if isinstance(getattr(want, name), np.ndarray):
+            assert_same_bits(getattr(got, name), getattr(want, name))
+        else:
+            assert getattr(got, name) == getattr(want, name)
+
+
+# how a cell may spell a number: 17 significant digits, repr, padded with
+# blanks, quoted
+NUMBER_TEXT = [lambda v: "%.17g" % v, repr, lambda v: f" {v!r}\t", lambda v: f'"{v!r}"',
+               lambda v: f'" {v:.17g} "']
+# how a missing cell may be spelt; NA is missing only under literal_NA. The
+# loaders read the spellings after the first two, and quoted labels, cell by
+# cell, so most files use neither.
+MISSING_TEXT = ["", "NA", " ", " NA", '""', '"NA"']
+# cell text that may or may not parse, quotes and commas included
+ODD_TEXT = st.text(alphabet='0123456789.eE+-_ \t"naifNAx,\u0661', max_size=6)
+
+
+def spell(draw, value, rare, odd):
+    """Cell text for `value` (NaN: a missing cell); the rare spellings only
+    when `rare`, and one cell in ten of arbitrary text when `odd`."""
+    if odd and draw(st.integers(0, 9)) == 0:
+        return draw(ODD_TEXT)
+    if np.isnan(value):
+        return draw(st.sampled_from(MISSING_TEXT if rare else MISSING_TEXT[:2]))
+    return draw(st.sampled_from(NUMBER_TEXT))(float(value))
+
+
+def csv_text(draw, lines, rare):
+    """The CSV text of `lines` (lists of cells), with \\n or \\r\\n line
+    ends and, when `rare`, some first cells quoted."""
+    if rare:
+        lines = [[f'"{line[0]}"' if draw(st.booleans()) else line[0], *line[1:]]
+                 for line in lines]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(",".join(line) for line in lines) + end
+
+
+@st.composite
+def panel_texts(draw, odd):
+    """Text of a panel CSV with 1-6 rows of 2-4 alphas, where some cells
+    past the first two rows are missing; on request, also cells of
+    arbitrary text."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(2, 4))
+    values = draw(hnp.arrays(float, (m, n), elements=finite))
+    missing = draw(hnp.arrays(bool, (m, n), elements=st.sampled_from([False] * 3 + [True])))
+    missing[:2] = False
+    values[missing] = np.nan
+    rare = draw(st.integers(0, 4)) == 0
+    lines = [["time", *(f"a{j}" for j in range(n))]]
+    lines += [[str(t), *(spell(draw, v, rare, odd) for v in row)] for t, row in enumerate(values)]
+    return csv_text(draw, lines, rare)
+
+
+@st.composite
+def correlation_texts(draw, odd):
+    """Text of a symmetric 2-5 x 2-5 correlation CSV, perhaps with one
+    off-diagonal cell of any finite value; on request, also cells of
+    arbitrary text."""
+    psi = draw(correlations()).psi
+    if draw(st.booleans()):
+        psi[0, -1] = draw(finite)
+    rare = draw(st.integers(0, 4)) == 0
+    labels = [f"c{j}" for j in range(len(psi))]
+    lines = [["", *labels]]
+    lines += [[label, *(spell(draw, v, rare, odd) for v in row)]
+              for label, row in zip(labels, psi)]
+    return csv_text(draw, lines, rare)
+
+
+@given(text=panel_texts(odd=False), na_policy=st.sampled_from(["empty_cell", "literal_NA"]))
+@example(text='time,a,b\n0,-0.0,5e-324\n1," 1e308 ",-1.7976931348623157e+308\n',
+         na_policy="empty_cell")
+def test_load_panel_matches_csv_reader(tmp_path_factory, text, na_policy):
+    path = tmp_path_factory.mktemp("panel") / "panel.csv"
+    path.write_bytes(text.encode())
+    assert_same_outcome(outcome(pm.load_panel, path, na_policy),
+                        outcome(csv_reader_load_panel, path, na_policy),
+                        ["labels", "times", "values"])
+
+
+@given(text=correlation_texts(odd=False))
+def test_load_correlation_matches_csv_reader(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("corr") / "corr.csv"
+    path.write_bytes(text.encode())
+    assert_same_outcome(outcome(pm.load_correlation, path),
+                        outcome(csv_reader_load_correlation, path), ["labels", "psi"])
+
+
+@settings(max_examples=150)
+@given(panel=panel_texts(odd=True), corr=correlation_texts(odd=True),
+       na_policy=st.sampled_from(["empty_cell", "literal_NA"]))
+def test_loaders_match_csv_reader_on_arbitrary_cells(tmp_path_factory, panel, corr, na_policy):
+    path = tmp_path_factory.mktemp("odd") / "in.csv"
+    path.write_bytes(panel.encode())
+    assert_same_outcome(outcome(pm.load_panel, path, na_policy),
+                        outcome(csv_reader_load_panel, path, na_policy),
+                        ["labels", "times", "values"])
+    path.write_bytes(corr.encode())
+    assert_same_outcome(outcome(pm.load_correlation, path),
+                        outcome(csv_reader_load_correlation, path), ["labels", "psi"])
 
 
 def reference_csv(header, values, labels):
