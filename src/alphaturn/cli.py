@@ -79,6 +79,7 @@ def cmd_analyze(args):
 
 
 def cmd_clusters(args):
+    clusters_mod.check_knee_args(args.rel_drop, args.window)
     corr = panel_mod.load_correlation(args.input)
     if not corr.psd:
         if not args.deform:
@@ -150,6 +151,7 @@ def cmd_synth(args):
 
 
 def cmd_ftest(args):
+    clusters_mod.check_winsor(args.winsor)
     panel = panel_mod.load_panel(args.panel, na_policy="literal_NA")
     panel_new = panel_mod.load_panel(args.panel_new, na_policy="literal_NA")
     omega_old = clusters_mod.load_loadings(args.omega_old, panel.labels)

@@ -133,15 +133,21 @@ def residual_correlation_sweep(corr, k_max, loadings=None):
     return SweepCurve(ks=ks, zeta1=z1s, zeta2=z2s, rank_used=rank_used, skipped=skipped)
 
 
-def knee_estimate(curve, rel_drop=0.05, window=3):
-    """Smallest K whose |zeta1| stops changing by more than rel_drop
-    (relatively) over the next `window` steps. Returns (K, flat) where flat
-    is False when the curve never levels off (K is then the last value).
-    rel_drop must be finite and greater than 0."""
+def check_knee_args(rel_drop, window):
+    """Raise ValidationError unless `window` is at least 1 and `rel_drop` is
+    finite and greater than 0, as knee_estimate requires."""
     if window < 1:
         raise ValidationError(f"window must be at least 1, got {window}")
     if not 0 < rel_drop < math.inf:
         raise ValidationError(f"rel_drop must be finite and greater than 0, got {rel_drop}")
+
+
+def knee_estimate(curve, rel_drop=0.05, window=3):
+    """Smallest K whose |zeta1| stops changing by more than rel_drop
+    (relatively) over the next `window` steps. Returns (K, flat) where flat
+    is False when the curve never levels off (K is then the last value).
+    The arguments are checked by check_knee_args."""
+    check_knee_args(rel_drop, window)
     z = np.abs(np.asarray(curve.zeta1))
     ks = curve.ks
     if len(ks) < window + 1:
@@ -239,6 +245,13 @@ def _cluster_mean_fstats(values, omega):
     return usable, f
 
 
+def check_winsor(winsor):
+    """Raise ValidationError unless the winsorizing quantile lies in
+    [0, 0.5], as new_cluster_ftest requires."""
+    if not 0 <= winsor <= 0.5:
+        raise ValidationError(f"winsor must lie in [0, 0.5], got {winsor}")
+
+
 def new_cluster_ftest(panel, omega_old, panel_new, omega_new, winsor=0.05):
     """Compare per-time cross-sectional F-statistics of the F-cluster model
     on the old alphas against the (F+1)-cluster model on old plus new
@@ -246,9 +259,8 @@ def new_cluster_ftest(panel, omega_old, panel_new, omega_new, winsor=0.05):
     median F-statistic improves. A time step is skipped when either panel
     leaves a cluster unobserved there or observes no more alphas than it has
     clusters; a ValidationError is raised when every time step is skipped.
-    `winsor` must lie in [0, 0.5]."""
-    if not 0 <= winsor <= 0.5:
-        raise ValidationError(f"winsor must lie in [0, 0.5], got {winsor}")
+    `winsor` is checked by check_winsor."""
+    check_winsor(winsor)
     omega_old = _check_binary_loadings(omega_old, "omega_old")
     omega_new = _check_binary_loadings(omega_new, "omega_new")
     if list(panel.times) != list(panel_new.times):

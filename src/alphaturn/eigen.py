@@ -24,15 +24,26 @@ def is_positive_definite(w):
     return bool(w[0] > PSD_TOL * max(w[-1], 1.0))
 
 
+def top_multiplicity(w):
+    """Dimension of the top eigenspace of ascending eigenvalues w: the
+    number within DEGEN_TOL times max(largest, 1) of the largest."""
+    return int(np.count_nonzero(w >= w[-1] - DEGEN_TOL * max(w[-1], 1.0)))
+
+
+def unit_nonnegative_sum(vec):
+    """vec scaled to unit length, with its sign chosen so that its sum is
+    nonnegative."""
+    vec = vec / np.linalg.norm(vec)
+    return -vec if np.sum(vec) < 0 else vec
+
+
 def top_eigenvector(w, v):
     """Top eigenpair from ascending eigenvalues w and eigenvectors v; within
     a degenerate top eigenspace, the direction obtained by projecting the
     uniform vector (falls back to the last eigenvector when the projection
     vanishes). The vector is normalized with a nonnegative sum."""
     n = v.shape[0]
-    psi1 = w[-1]
-    degen = w >= psi1 - DEGEN_TOL * max(psi1, 1.0)
-    basis = v[:, degen]
+    basis = v[:, len(w) - top_multiplicity(w):]
     if basis.shape[1] == 1:
         vec = basis[:, 0]
     else:
@@ -41,7 +52,4 @@ def top_eigenvector(w, v):
             vec = basis @ coeff
         else:
             vec = basis[:, -1]
-    vec = vec / np.linalg.norm(vec)
-    if np.sum(vec) < 0:
-        vec = -vec
-    return psi1, vec
+    return w[-1], unit_nonnegative_sum(vec)

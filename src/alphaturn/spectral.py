@@ -55,17 +55,18 @@ class TurnoverInputs:
             raise ValidationError("taus and weights must have the same length")
 
 
-def spectral_summary(corr, canonicalize=False):
+def spectral_summary(corr, canonicalize=False, pair=None):
     """Compute the top eigenpair and the turnover-reduction coefficient
     rho_star = psi1 * |sum(V1)| / N^(3/2).
 
-    The pair comes from `corr.top_pair()`, so from the matrix's one cached
+    The pair is `pair`, the (psi1, V1) of `corr` where the caller already
+    holds it, or else `corr.top_pair()`, so from the matrix's one cached
     spectrum."""
     if canonicalize:
         _, corr = panel_mod.canonicalize_signs(corr)
     psi = corr.psi
     n = corr.n
-    psi1, v1 = corr.top_pair()
+    psi1, v1 = corr.top_pair() if pair is None else pair
     rho_star = psi1 * abs(np.sum(v1)) / n**1.5
     total = float(np.sum(psi))
     rho_prime = total / n**2

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from alphaturn import cli
+from alphaturn import clusters as cl
 from alphaturn import factor_model as fm
 from alphaturn import panel as pm
+from alphaturn import spectral as sp
 from alphaturn.errors import NumericalError
 
 
@@ -373,6 +375,19 @@ class TestClusters:
             f"error: rel_drop must be finite and greater than 0, got {float(rel_drop)}\n")
         assert not summary.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--rel-drop", "-1", "rel_drop must be finite and greater than 0, got -1.0"),
+        ("--window", "0", "window must be at least 1, got 0"),
+    ])
+    def test_bad_knee_args_exit_2_before_loading(self, monkeypatch, capsys, flag, value,
+                                                 message):
+        def load_correlation(path):
+            raise AssertionError(f"{path} was loaded")
+
+        monkeypatch.setattr(pm, "load_correlation", load_correlation)
+        assert run(["clusters", "corr.csv", "--kmax", "8", flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestModel:
     def _write_model(self, tmp_path, doc):
@@ -492,13 +507,14 @@ class TestModel:
         doc = {"mode": "binary", "sizes": [3, 2], "phi": [1, 1],
                "xi": [0.1, 0.2, 0.3, 0.4, 0.4]}
         path = self._write_model(tmp_path, doc)
-        want = fm.dense_rho_star(fm.FactorModel.from_doc(doc)).rho_star
+        want = sp.spectral_summary(fm.build_covariance(fm.FactorModel.from_doc(doc))[1]).rho_star
         for op in ("eigen", "rho-star"):
             out = tmp_path / f"{op}.json"
             assert run(["model", str(path), "--op", op, "--out", str(out)]) == 0
             got = json.loads(out.read_text())
             assert got["method"] == "dense"
-            assert got["rho_star"] == want
+            # the lifted top eigenvector against eigh's
+            assert got["rho_star"] == pytest.approx(want, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("grid, message", [
         ("0,a", "'a'"),
@@ -684,6 +700,16 @@ class TestFTest:
         assert capsys.readouterr().err == (
             f"error: winsor must lie in [0, 0.5], got {float(winsor)}\n")
         assert not out.exists()
+
+    def test_winsor_out_of_range_exit_2_before_loading(self, monkeypatch, capsys):
+        def load(path, *args, **kwargs):
+            raise AssertionError(f"{path} was loaded")
+
+        monkeypatch.setattr(pm, "load_panel", load)
+        monkeypatch.setattr(cl, "load_loadings", load)
+        assert run(["ftest", "old.csv", "wold.csv", "new.csv", "wnew.csv",
+                    "--winsor", "0.7"]) == 2
+        assert capsys.readouterr().err == "error: winsor must lie in [0, 0.5], got 0.7\n"
 
     @pytest.mark.parametrize("winsor", ["0", "0.5"])
     def test_winsor_at_range_ends_runs(self, tmp_path, winsor):

@@ -183,19 +183,20 @@ class TestDowndateSweep:
 class TestDecompositionBudget:
     """N x N eigendecompositions made by one CLI command."""
 
-    def count(self, monkeypatch, n, argv):
+    def square(self, monkeypatch, n, argv):
+        """Names of the eigh and eigvalsh calls on an n x n matrix."""
         calls = []
         for name in ("eigh", "eigvalsh"):
             real = getattr(np.linalg, name)
 
-            def counted(a, *args, _real=real, **kwargs):
+            def counted(a, *args, _real=real, _name=name, **kwargs):
                 if np.shape(a) == (n, n):
-                    calls.append(np.shape(a))
+                    calls.append(_name)
                 return _real(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
         assert cli.main(argv) == 0
-        return len(calls)
+        return calls
 
     def test_analyze_corr_deform(self, tmp_path, monkeypatch):
         n = 150
@@ -204,7 +205,7 @@ class TestDecompositionBudget:
         out = tmp_path / "out.json"
         argv = ["analyze", str(path), "--corr", "--deform", "--out", str(out)]
         # one for the input, one for the deformed matrix
-        assert self.count(monkeypatch, n, argv) == 2
+        assert len(self.square(monkeypatch, n, argv)) == 2
         assert json.loads(out.read_text())["deformed"] is True
 
     def test_clusters_deform(self, tmp_path, monkeypatch):
@@ -213,7 +214,7 @@ class TestDecompositionBudget:
         cluster_corr_csv(path, n)
         argv = ["clusters", str(path), "--kmax", "5", "--deform",
                 "--out", str(tmp_path / "sweep.csv")]
-        assert self.count(monkeypatch, n, argv) == 2
+        assert len(self.square(monkeypatch, n, argv)) == 2
 
     def test_model_dense_fallback(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(8)
@@ -224,7 +225,8 @@ class TestDecompositionBudget:
         path.write_text(json.dumps(doc))
         out = tmp_path / "eig.json"
         argv = ["model", str(path), "--op", "eigen", "--out", str(out)]
-        assert self.count(monkeypatch, n, argv) == 1
+        # eigenvalues only: the top eigenvector is lifted from F x F
+        assert self.square(monkeypatch, n, argv) == ["eigvalsh"]
         assert json.loads(out.read_text())["method"] == "dense"
 
     def decomposed(self, monkeypatch, argv):

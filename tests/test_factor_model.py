@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 from alphaturn import factor_model as fm
+from alphaturn import spectral as sp
 from alphaturn.errors import ValidationError
 
 
@@ -229,8 +230,8 @@ class TestReduceNondiagonal:
         model = fm.FactorModel(
             omega=model.omega, phi_cov=corr, xi=np.zeros(spec.n), mode="binary"
         )
-        dense = fm.dense_rho_star(model)
         _, dense_corr = fm.build_covariance(model)
+        dense = sp.spectral_summary(dense_corr)
         w = np.sort(np.linalg.eigvalsh(dense_corr.psi))[::-1]
         assert np.allclose(eig.eigenvalues(), w, atol=1e-9)
         assert eig.rho_star == pytest.approx(dense.rho_star, abs=1e-9)
@@ -283,7 +284,7 @@ class TestReduceNonbinary:
         _, corr = fm.build_covariance(model)
         w = np.sort(np.linalg.eigvalsh(corr.psi))[::-1]
         assert np.allclose(eig.eigenvalues(), w, atol=1e-9)
-        dense = fm.dense_rho_star(model)
+        dense = sp.spectral_summary(corr)
         assert eig.rho_star == pytest.approx(dense.rho_star, abs=1e-9)
 
     def test_cholesky_factor_choice_is_irrelevant(self):
@@ -438,7 +439,7 @@ class TestNonbinaryBound:
         omega_t = omega @ np.linalg.cholesky(model.phi_cov)
         lam = omega_t / np.linalg.norm(omega_t, axis=1)[:, None]
         bound = fm.nonbinary_bound(lam)
-        dense = fm.dense_rho_star(model)
+        dense = sp.spectral_summary(fm.build_covariance(model)[1])
         assert bound.psi_star_est == pytest.approx(dense.psi1, rel=0.05)
         assert bound.rho_star_est == pytest.approx(dense.rho_star, rel=0.05)
 

@@ -2,7 +2,8 @@
 and load bit for bit, format_csv writes what a per-cell "%.17g" loop
 writes, secular_roots sum to N, interlace their poles and match a 60-digit
 root, sign canonicalization keeps psi1 and rho_star, with or without a
-cached spectrum, the model-document check reports what jsonschema reports,
+cached spectrum, the dense model path gives what eigh of the assembled
+matrix gives, the model-document check reports what jsonschema reports,
 _cluster_xi gives what a per-cluster loop gives, the F-test's cluster-mean
 F-statistics give what one least-squares fit per time step gives, and the
 np.loadtxt panel and correlation loaders read any file as csv.reader and a
@@ -452,6 +453,92 @@ def test_schema_violation_matches_jsonschema(doc):
     if errors:
         want = ("/" + "/".join(map(str, errors[0].absolute_path)), errors[0].message)
     assert fm._schema_violation(doc) == want
+
+
+@st.composite
+def dense_path_models(draw):
+    """Models that model_eigenstructure sends to the dense path: dense
+    loadings with specific risk, or binary ones whose specific risk varies
+    within a cluster. The factor covariance has positive entries, as for
+    sign-canonicalized alphas, so V1 is positive and rho_star is not a
+    cancelling sum."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = draw(st.integers(1, 6))
+    n = draw(st.integers(f + 1, 40))
+    b = rng.uniform(0.0, 1.0, (f, f)) + np.eye(f)
+    phi = b @ b.T
+    xi = rng.uniform(0.1, 1.0, n)
+    if draw(st.booleans()):
+        return fm.FactorModel(omega=rng.uniform(0.1, 1.0, (n, f)), phi_cov=phi, xi=xi)
+    # n > f alphas in f clusters: some cluster has two, with distinct xi
+    assignment = rng.integers(1, f + 1, n)
+    return fm.FactorModel(omega=fm.binary_loadings(assignment, f), phi_cov=phi, xi=xi,
+                          mode="binary")
+
+
+@settings(deadline=None)
+@given(model=dense_path_models())
+def test_dense_path_matches_eigh(model):
+    """Eigenvalues from eigvalsh and rho_star from the lifted top eigenvector
+    agree with eigh of the assembled matrix, spectral_summary's reference."""
+    structure, method = fm.model_eigenstructure(model)
+    assert method == "dense"
+    _, corr = fm.build_covariance(model)
+    want = sp.spectral_summary(corr)
+    w = corr.spectrum[0]
+    np.testing.assert_allclose(structure.eigenvalues(), w[::-1], rtol=0,
+                               atol=1e-12 * max(w[-1], 1.0))
+    assert structure.rho_star == pytest.approx(want.rho_star, rel=1e-12, abs=0)
+    assert fm.dense_rho_star(model).rho_star == structure.rho_star
+
+
+def tied_top_model():
+    """Two equal clusters of three alphas with equal specific risk, given as
+    dense loadings: the top eigenvalue is double."""
+    return fm.FactorModel(omega=fm.binary_loadings([1, 1, 1, 2, 2, 2], 2),
+                          phi_cov=np.eye(2), xi=np.full(6, 0.5))
+
+
+def cancelling_model():
+    """Loadings near 1e3 on two factors with correlation -1 + 1e-8: the
+    assembled Omega Phi Omega^T and the factored (Omega L)(Omega L)^T agree
+    to about 1e-8 only, so the lifted vector fails its residual check."""
+    rng = np.random.default_rng(0)
+    a = rng.uniform(1.0, 2.0, 12) * 1e3
+    omega = np.column_stack([a, a + rng.uniform(0.0, 1e-3, 12)])
+    r = -1.0 + 1e-8
+    return fm.FactorModel(omega=omega, phi_cov=np.array([[1.0, r], [r, 1.0]]),
+                          xi=rng.uniform(0.5, 1.0, 12))
+
+
+@pytest.mark.parametrize("model", [tied_top_model(), cancelling_model()],
+                         ids=["tied-top", "residual-guard"])
+def test_dense_path_falls_back_to_eigh(model):
+    _, corr = fm.build_covariance(model)
+    w = np.linalg.eigvalsh(corr.psi)
+    assert fm.lifted_top_pair(model, corr, w) is None
+    structure, method = fm.model_eigenstructure(model)
+    assert method == "dense"
+    assert structure.rho_star == sp.spectral_summary(corr).rho_star
+
+
+@given(seed=st.integers(0, 2**32 - 1), f=st.integers(1, 6), data=st.data())
+def test_lift_at_zero_specific_risk_is_reduce_nonbinary(seed, f, data):
+    """With xi = 0 the F x F system is the loadings' Gram matrix, so the
+    lifted pair is reduce_nonbinary's top pair."""
+    n = data.draw(st.integers(f, 40))
+    rng = np.random.default_rng(seed)
+    b = rng.uniform(0.0, 1.0, (f, f)) + np.eye(f)
+    omega = rng.uniform(0.1, 1.0, (n, f))
+    omega[:f] += 2.0 * np.eye(f)  # independent columns, as reduce_nonbinary needs
+    model = fm.FactorModel(omega=omega, phi_cov=b @ b.T, xi=np.zeros(n))
+    _, corr = fm.build_covariance(model)
+    psi1, v1 = fm.lifted_top_pair(model, corr, np.linalg.eigvalsh(corr.psi))
+    want = fm.reduce_nonbinary(model)
+    want_v1 = fm.nonbinary_eigenvectors(model)[:, 0]
+    assert psi1 == pytest.approx(want.values[0][0], rel=1e-12)
+    np.testing.assert_allclose(v1, want_v1 * np.sign(want_v1.sum()), rtol=0, atol=1e-12)
+    assert psi1 * abs(v1.sum()) / n**1.5 == pytest.approx(want.rho_star, rel=1e-12)
 
 
 def loop_cluster_xi(model):
