@@ -1,11 +1,16 @@
 """The rules shared by every consumer of a correlation matrix's spectrum:
-positive definiteness, and the tie rule for a degenerate top eigenspace.
+positive definiteness, the tie rule for a degenerate top eigenspace, and
+the guard on a top eigenvector found without the full eigendecomposition.
 
-The dense spectrum itself is computed and cached on ``CorrelationMatrix``;
-every top eigenpair is read from it with ``top_eigenvector``.
+The spectrum itself is computed and cached on ``CorrelationMatrix``. A top
+eigenpair is read from the full eigendecomposition with
+``top_eigenvector``, or from the eigenvalues alone with
+``power_top_pair``, whose vector ``checked_top_pair`` guards.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -53,3 +58,77 @@ def top_eigenvector(w, v):
         else:
             vec = basis[:, -1]
     return w[-1], unit_nonnegative_sum(vec)
+
+
+# A top eigenvector found without the full eigendecomposition (lifted from
+# an F x F system, or by power iteration) is kept only when its residual
+# |Psi V1 - psi1 V1| is at most this fraction of the eigengap psi1 - psi2:
+# by the Davis-Kahan bound it then lies within about this angle (in
+# radians) of the top eigenvector. Lifted vectors of models with N = 60 to
+# 1600 and a clear top eigenvalue give fractions near 2e-15.
+TOP_RESIDUAL_TOL = 1e-12
+
+
+def checked_top_pair(psi, w, vec):
+    """(psi1, V1) of the symmetric matrix psi, whose ascending eigenvalues
+    are w, with V1 the candidate top eigenvector vec normalized as
+    top_eigenvector does; or None where vec may not be used: psi1 is not
+    simple under DEGEN_TOL, vec is zero or not finite, or
+    |psi V1 - psi1 V1| exceeds TOP_RESIDUAL_TOL times psi1 - psi2."""
+    if top_multiplicity(w) > 1 or not 0 < np.linalg.norm(vec) < np.inf:
+        return None
+    psi1 = w[-1]
+    v1 = unit_nonnegative_sum(vec)
+    gap = psi1 - w[-2] if len(w) > 1 else psi1
+    if not np.linalg.norm(psi @ v1 - psi1 * v1) <= TOP_RESIDUAL_TOL * gap:
+        return None
+    return psi1, v1
+
+
+def power_top_pair(psi, w):
+    """(psi1, V1) of the symmetric matrix psi from its ascending eigenvalues
+    w, with V1 found by power iteration and kept by checked_top_pair; None
+    where psi1 is not simple, the iteration would take too many steps, or
+    the guard declines its vector.
+
+    The iteration runs on psi - sigma I with sigma = (psi2 + psi_min) / 2,
+    which maps every eigenvalue but psi1 into [-h, h], h = (psi2 - psi_min)
+    / 2. Each step therefore shrinks the tangent of the angle to V1 by at
+    least r = h / (psi1 - sigma). It starts from the uniform vector, and it
+    stops once the residual |psi x - psi1 x| passes the guard and stops
+    falling, or after the steps that take a tangent of sqrt(N) to rounding
+    level (two more for the residual to settle). It is not tried where
+    those are more than N/8 steps, or 64 at N < 512. One step costs about
+    1/300 of what eigh costs over eigvalsh (0.5 ms against 0.14 s at
+    N = 1200, 17 us against 1.4 ms at N = 150, with one BLAS thread), so
+    the steps cost at most about half of that difference. Where this
+    returns None, the caller has spent the eigvalsh that gave w as well,
+    and the eigh it falls back to computes w again.
+    """
+    n = len(w)
+    if n < 2 or top_multiplicity(w) > 1:
+        return None
+    psi1, psi2, psi_min = w[-1], w[-2], w[0]
+    sigma = (psi2 + psi_min) / 2
+    r = (psi2 - psi_min) / (2 * psi1 - psi2 - psi_min)
+    steps = 1
+    if r > 0:
+        steps = math.ceil(math.log(np.finfo(float).eps / math.sqrt(n)) / math.log(r))
+    if steps > max(n // 8, 64):
+        return None
+    settled = TOP_RESIDUAL_TOL * (psi1 - psi2)
+    x = np.full(n, 1 / math.sqrt(n))
+    best, vec = np.inf, x
+    for _ in range(steps + 2):
+        y = psi @ x
+        res = np.linalg.norm(y - psi1 * x)
+        if res < best:
+            best, vec = res, x
+        elif best <= settled:
+            break
+        y -= sigma * x
+        size = np.linalg.norm(y)
+        if not size > 0:
+            return None
+        x = y / size
+    return checked_top_pair(psi, w, vec)

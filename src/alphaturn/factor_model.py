@@ -491,14 +491,6 @@ def nonbinary_eigenvectors(model):
     return lam @ vecs[:, order] / np.sqrt(w[order])[None, :]
 
 
-# The lifted top eigenvector is kept only when its residual
-# |Psi V1 - psi1 V1| is at most this fraction of the eigengap psi1 - psi2:
-# by the Davis-Kahan bound it then lies within about this angle (in
-# radians) of the top eigenvector of the assembled matrix. Models with
-# N = 60 to 1600 and a clear top eigenvalue give fractions near 2e-15.
-LIFT_RESIDUAL_TOL = 1e-12
-
-
 def lifted_top_pair(model, corr, w):
     """Top eigenpair (psi1, V1) of `corr`, the model's correlation matrix,
     from its ascending eigenvalues w and an F x F system, or None where the
@@ -508,9 +500,8 @@ def lifted_top_pair(model, corr, w):
     Cholesky factor of Phi, s the total volatilities). For an eigenvalue
     psi1 > max z, Psi v = psi1 v gives v = (psi1 - Z)^-1 U c with c in the
     null space of I - U^T (psi1 - Z)^-1 U (Golub 1973). The pair is
-    returned when psi1 is simple under eigen.DEGEN_TOL, psi1 > max z and V1
-    passes the LIFT_RESIDUAL_TOL check; V1 is normalized with a nonnegative
-    sum, as eigen.top_eigenvector does."""
+    returned when psi1 is simple under eigen.DEGEN_TOL, psi1 > max z and
+    eigen.checked_top_pair keeps V1."""
     psi1 = w[-1]
     if eigen.top_multiplicity(w) > 1:
         return None
@@ -523,24 +514,20 @@ def lifted_top_pair(model, corr, w):
     # I - U^T (lambda - Z)^-1 U rises with lambda and is positive definite
     # above psi1, so at psi1 its null vector belongs to its lowest eigenvalue
     _, c = np.linalg.eigh(np.eye(model.f) - u.T @ scaled)
-    v1 = eigen.unit_nonnegative_sum(scaled @ c[:, 0])
-    gap = psi1 - w[-2] if len(w) > 1 else psi1
-    if not np.linalg.norm(corr.psi @ v1 - psi1 * v1) <= LIFT_RESIDUAL_TOL * gap:
-        return None
-    return psi1, v1
+    return eigen.checked_top_pair(corr.psi, w, scaled @ c[:, 0])
 
 
-def dense_rho_star(model, corr=None, w=None):
+def dense_rho_star(model, corr=None):
     """Dense path: the spectral summary of the model's correlation matrix
-    `corr` (assembled when not given) from its eigenvalues `w` (from
-    np.linalg.eigvalsh when not given) and the lifted top eigenvector. Where
-    lifted_top_pair declines, the pair comes from corr.top_pair(), so from
-    the full eigendecomposition and its tie rule."""
+    `corr` (assembled when not given) from its eigenvalues, which
+    corr.eigenvalues takes from np.linalg.eigvalsh, and the lifted top
+    eigenvector. Where lifted_top_pair declines, the pair comes from
+    corr.top_pair(), so from power iteration on the same eigenvalues, or
+    else from the full eigendecomposition and its tie rule."""
     if corr is None:
         _, corr = build_covariance(model)
-    if w is None:
-        w = np.linalg.eigvalsh(corr.psi)
-    return spectral_mod.spectral_summary(corr, pair=lifted_top_pair(model, corr, w))
+    pair = lifted_top_pair(model, corr, corr.eigenvalues)
+    return spectral_mod.spectral_summary(corr, pair=pair)
 
 
 def model_eigenstructure(model):
@@ -561,9 +548,8 @@ def model_eigenstructure(model):
     elif np.all(model.xi == 0):
         return reduce_nonbinary(model), "reduced-nonbinary"
     _, corr = build_covariance(model)
-    w = np.linalg.eigvalsh(corr.psi)
-    summary = dense_rho_star(model, corr, w)
-    values = [(float(x), 1) for x in w[::-1]]
+    summary = dense_rho_star(model, corr)
+    values = [(float(x), 1) for x in corr.eigenvalues[::-1]]
     return EigenStructure(values=values, rho_star=summary.rho_star, top_cluster=1), "dense"
 
 

@@ -72,10 +72,12 @@ class AlphaPanel:
 class CorrelationMatrix:
     """Symmetric unit-diagonal correlation matrix with companion volatilities.
 
-    Every consumer reads the eigendecomposition through `spectrum`, which
-    is computed on first use and cached, so one matrix costs one O(N^3)
-    solve. `top_pair()` and `psd` follow from the spectrum. Nothing is
-    computed at construction.
+    Every consumer of eigenvectors reads the eigendecomposition through
+    `spectrum`, which is computed on first use and cached, so one matrix
+    costs at most one O(N^3) solve with eigenvectors. `top_pair()` needs
+    only `eigenvalues`: without a cached spectrum it takes them from one
+    eigvalsh and finds V1 by power iteration, and reads the spectrum only
+    where that declines. Nothing is computed at construction.
     """
 
     def __init__(self, psi, vols, min_overlap=0, labels=None, spectrum=None):
@@ -96,6 +98,8 @@ class CorrelationMatrix:
         self.labels = [f"a{i + 1}" for i in range(n)] if labels is None else labels
         self._psd = None
         self._spectrum = spectrum
+        self._eigenvalues = None
+        self._top = None
 
     @property
     def n(self):
@@ -110,15 +114,30 @@ class CorrelationMatrix:
         return self._spectrum
 
     @property
+    def eigenvalues(self):
+        """Ascending eigenvalues, from the spectrum where it is cached, else
+        from np.linalg.eigvalsh on first access."""
+        if self._eigenvalues is None:
+            self._eigenvalues = (np.linalg.eigvalsh(self.psi) if self._spectrum is None
+                                 else self._spectrum[0])
+        return self._eigenvalues
+
+    @property
     def psd(self):
         if self._psd is None:
             self._psd = eigen.is_positive_definite(self.spectrum[0])
         return self._psd
 
     def top_pair(self):
-        """(psi1, V1) from the spectrum under the tie rule of
-        eigen.top_eigenvector; V1 has a nonnegative sum."""
-        return eigen.top_eigenvector(*self.spectrum)
+        """(psi1, V1), cached: from eigen.power_top_pair where no spectrum is
+        cached, else (or where it declines) from the spectrum under the tie
+        rule of eigen.top_eigenvector; V1 has a nonnegative sum."""
+        if self._top is None:
+            if self._spectrum is None:
+                self._top = eigen.power_top_pair(self.psi, self.eigenvalues)
+            if self._top is None:
+                self._top = eigen.top_eigenvector(*self.spectrum)
+        return self._top
 
 
 @dataclass

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from . import panel as panel_mod
 
 
 @dataclass
@@ -21,7 +20,7 @@ class SpectralSummary:
     v1: np.ndarray
     rho_star: float
     rho_prime: float
-    gamma: float
+    gamma: float | None  # None where rho_prime <= 0
     mean_corr: float
 
     def to_json(self):
@@ -55,15 +54,13 @@ class TurnoverInputs:
             raise ValidationError("taus and weights must have the same length")
 
 
-def spectral_summary(corr, canonicalize=False, pair=None):
+def spectral_summary(corr, pair=None):
     """Compute the top eigenpair and the turnover-reduction coefficient
     rho_star = psi1 * |sum(V1)| / N^(3/2).
 
     The pair is `pair`, the (psi1, V1) of `corr` where the caller already
-    holds it, or else `corr.top_pair()`, so from the matrix's one cached
-    spectrum."""
-    if canonicalize:
-        _, corr = panel_mod.canonicalize_signs(corr)
+    holds it, or else `corr.top_pair()`. gamma = rho_star / rho_prime is
+    None where rho_prime <= 0."""
     psi = corr.psi
     n = corr.n
     psi1, v1 = corr.top_pair() if pair is None else pair
@@ -71,13 +68,12 @@ def spectral_summary(corr, canonicalize=False, pair=None):
     total = float(np.sum(psi))
     rho_prime = total / n**2
     mean_corr = (total - n) / (n * (n - 1))
-    gamma = rho_star / rho_prime if rho_prime > 0 else float("nan")
     return SpectralSummary(
         psi1=float(psi1),
         v1=v1,
         rho_star=float(rho_star),
         rho_prime=float(rho_prime),
-        gamma=float(gamma),
+        gamma=float(rho_star / rho_prime) if rho_prime > 0 else None,
         mean_corr=float(mean_corr),
     )
 

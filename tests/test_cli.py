@@ -64,6 +64,23 @@ class TestAnalyze:
         assert run(["analyze", str(path), "--corr", "--raw-basis", "--out", str(out)]) == 0
         assert "signs" not in json.loads(out.read_text())
 
+    def test_negative_total_writes_null_gamma(self, tmp_path):
+        # off-diagonals of -0.9: not positive definite, and rho_prime < 0,
+        # where gamma is undefined; the output must stay strict JSON
+        path = tmp_path / "corr.csv"
+        write_corr(path, np.full((3, 3), -0.9))
+        out = tmp_path / "out.json"
+        assert run(["analyze", str(path), "--corr", "--raw-basis", "--out", str(out)]) == 0
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        doc = json.loads(out.read_text(), parse_constant=reject)
+        assert doc["rho_prime"] < 0
+        assert doc["gamma"] is None
+        summary = sp.spectral_summary(pm.load_correlation(path))
+        assert json.loads(summary.to_json(), parse_constant=reject)["gamma"] is None
+
     def test_missing_file_exit_2(self, tmp_path, capsys):
         assert run(["analyze", str(tmp_path / "nope.csv")]) == 2
         assert "error" in capsys.readouterr().err

@@ -1,8 +1,9 @@
 """The shared spectral core: one cached eigendecomposition per correlation
-matrix, the top pair read from it, and the rank-1-downdate sweep, each
-checked against the dense path it replaces."""
+matrix, the top pair from the eigenvalues alone or read from it, and the
+rank-1-downdate sweep, each checked against the dense path it replaces."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,10 @@ from alphaturn import eigen
 from alphaturn import factor_model as fm
 from alphaturn import panel as pm
 from alphaturn import spectral as sp
+
+import reference
+from test_properties import cancelling_model, tied_top_model
+
 
 def fresh(psi):
     """A correlation matrix with nothing computed yet."""
@@ -97,6 +102,20 @@ class TestTopPair:
         assert psi1 == pytest.approx(want1, rel=1e-12)
         assert abs(v1 @ want_v) == pytest.approx(1.0, abs=1e-10)
 
+    def test_start_vector_in_null_space_falls_back(self):
+        # eigenvalues 2.5, 0.75, 0.5, 0.25 on the Hadamard basis, with the
+        # uniform vector on 0.5 = (psi2 + psi_min) / 2: the first step of
+        # the power iteration is exactly zero
+        h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]).T / 2.0
+        psi = (h * [0.5, 2.5, 0.75, 0.25]) @ h.T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert eigen.power_top_pair(psi, np.array([0.25, 0.5, 0.75, 2.5])) is None
+            psi1, v1 = fresh(psi).top_pair()
+        want1, want_v = dense_top(psi)
+        assert psi1 == pytest.approx(want1, rel=1e-12)
+        assert abs(v1 @ want_v) == pytest.approx(1.0, abs=1e-12)
+
     def test_cached_spectrum_is_used(self):
         corr = fresh(random_corr(160, seed=3))
         w, v = corr.spectrum
@@ -152,7 +171,7 @@ class TestDowndateSweep:
         w, v = np.linalg.eigh(corr.psi)
         pcs = v[:, np.argsort(w)[::-1]][:, :k_max]
         fast = cl.residual_correlation_sweep(corr, k_max)
-        slow = cl.residual_correlation_sweep(fresh(corr.psi.copy()), k_max, loadings=pcs)
+        slow = reference.residual_correlation_sweep(fresh(corr.psi.copy()), k_max, loadings=pcs)
         assert fast.ks == slow.ks and fast.skipped == slow.skipped
         assert fast.rank_used == slow.rank_used
         np.testing.assert_allclose(fast.zeta1, slow.zeta1, rtol=0, atol=1e-12)
@@ -204,9 +223,34 @@ class TestDecompositionBudget:
         cluster_corr_csv(path, n)
         out = tmp_path / "out.json"
         argv = ["analyze", str(path), "--corr", "--deform", "--out", str(out)]
-        # one for the input, one for the deformed matrix
-        assert len(self.square(monkeypatch, n, argv)) == 2
+        # the input's spectrum feeds the deformation; the deformed matrix's
+        # top pair needs only its eigenvalues
+        assert self.square(monkeypatch, n, argv) == ["eigh", "eigvalsh"]
         assert json.loads(out.read_text())["deformed"] is True
+
+    def test_analyze_corr_positive_definite(self, tmp_path, monkeypatch):
+        n = 150
+        path = tmp_path / "corr.csv"
+        cluster_corr_csv(path, n, m=400)
+        out = tmp_path / "out.json"
+        argv = ["analyze", str(path), "--corr", "--out", str(out)]
+        assert self.square(monkeypatch, n, argv) == ["eigvalsh"]
+        doc = json.loads(out.read_text())
+        want1, want_v = dense_top(pm.load_correlation(path).psi)
+        assert doc["psi1"] == pytest.approx(want1, rel=1e-12)
+        np.testing.assert_allclose(doc["v1"], want_v, rtol=0, atol=1e-12)
+
+    def test_analyze_tied_top(self, tmp_path, monkeypatch):
+        n = 80
+        path = tmp_path / "corr.csv"
+        pm.save_correlation(fresh(block_corr([n // 4] * 4, [0.4] * 4)), path)
+        out = tmp_path / "out.json"
+        argv = ["analyze", str(path), "--corr", "--out", str(out)]
+        # the eigenvalues show the tie, so the tie rule reads the spectrum
+        assert self.square(monkeypatch, n, argv) == ["eigvalsh", "eigh"]
+        # the uniform vector spans the projection: rho* = psi1 / N
+        assert json.loads(out.read_text())["rho_star"] == pytest.approx((1 + 19 * 0.4) / n,
+                                                                        rel=1e-12)
 
     def test_clusters_deform(self, tmp_path, monkeypatch):
         n = 150
@@ -228,6 +272,25 @@ class TestDecompositionBudget:
         # eigenvalues only: the top eigenvector is lifted from F x F
         assert self.square(monkeypatch, n, argv) == ["eigvalsh"]
         assert json.loads(out.read_text())["method"] == "dense"
+
+    @pytest.mark.parametrize("kind", ["tied-top", "residual-guard"])
+    def test_model_dense_declined_lift(self, tmp_path, monkeypatch, kind):
+        # the lift declines: the top pair comes from the same eigenvalues,
+        # by power iteration or, at a tied top, from eigh
+        model = {"tied-top": tied_top_model, "residual-guard": cancelling_model}[kind]()
+        doc = {"mode": "dense", "omega": model.omega.tolist(),
+               "phi": model.phi_cov.tolist(), "xi": model.xi.tolist()}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "eig.json"
+        argv = ["model", str(path), "--op", "eigen", "--out", str(out)]
+        _, corr = fm.build_covariance(model)
+        assert fm.lifted_top_pair(model, corr, np.linalg.eigvalsh(corr.psi)) is None
+        calls = self.square(monkeypatch, model.n, argv)
+        assert calls == {"tied-top": ["eigvalsh", "eigh"], "residual-guard": ["eigvalsh"]}[kind]
+        doc = json.loads(out.read_text())
+        assert doc["method"] == "dense"
+        assert doc["rho_star"] == pytest.approx(sp.spectral_summary(corr).rho_star, rel=1e-12)
 
     def decomposed(self, monkeypatch, argv):
         """Arguments of every eigh/eigvalsh/cholesky call made by argv."""

@@ -2,12 +2,13 @@
 and load bit for bit, format_csv writes what a per-cell "%.17g" loop
 writes, secular_roots sum to N, interlace their poles and match a 60-digit
 root, sign canonicalization keeps psi1 and rho_star, with or without a
-cached spectrum, the dense model path gives what eigh of the assembled
-matrix gives, the model-document check reports what jsonschema reports,
-_cluster_xi gives what a per-cluster loop gives, the F-test's cluster-mean
-F-statistics give what one least-squares fit per time step gives, and the
-np.loadtxt panel and correlation loaders read any file as csv.reader and a
-per-cell float() loop read it."""
+cached spectrum, the top pair from the eigenvalues alone is eigh's, the
+packed residual sweep is the N x N one bit for bit, the dense model path
+gives what eigh of the assembled matrix gives, the model-document check
+reports what jsonschema reports, _cluster_xi gives what a per-cluster loop
+gives, the F-test's cluster-mean F-statistics give what one least-squares
+fit per time step gives, and the np.loadtxt panel and correlation loaders
+read any file as csv.reader and a per-cell float() loop read it."""
 
 import math
 
@@ -18,10 +19,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from alphaturn import clusters as cl
+from alphaturn import eigen
 from alphaturn import factor_model as fm
 from alphaturn import panel as pm
 from alphaturn import spectral as sp
 from alphaturn.errors import ValidationError
+
+import reference
 
 # values a 17-digit round trip must keep exactly, drawn more often than
 # st.floats alone would draw them
@@ -349,7 +353,7 @@ def test_canonicalize_signs_keeps_psi1_and_rho_star(psi, cached):
     assert summary.psi1 == pytest.approx(psi1, rel=1e-12)
 
     fresh = pm.CorrelationMatrix(psi=canon.psi, vols=canon.vols)
-    fresh_summary = sp.spectral_summary(fresh, canonicalize=True)
+    fresh_summary = sp.spectral_summary(pm.canonicalize_signs(fresh)[1])
     assert fresh_summary.psi1 == pytest.approx(summary.psi1, rel=1e-12)
     assert fresh_summary.rho_star == pytest.approx(summary.rho_star, rel=1e-10, abs=1e-14)
 
@@ -358,6 +362,66 @@ def test_canonicalize_signs_keeps_psi1_and_rho_star(psi, cached):
     np.testing.assert_array_equal(again.psi, canon.psi)
     assert sp.spectral_summary(again).rho_star == pytest.approx(summary.rho_star,
                                                                 rel=1e-10, abs=1e-14)
+
+
+@st.composite
+def top_pair_correlations(draw):
+    """Correlation matrices for each path of CorrelationMatrix.top_pair: the
+    sample correlation of a one-factor panel (power iteration), equal
+    blocks (a tied top), two blocks whose top eigenvalues differ by a tiny
+    relative gap, each with random signs, and [[A, -A/2], [-A/2, A]], whose
+    top eigenvector is orthogonal to the uniform start vector."""
+    kind = draw(st.sampled_from(["factor", "equal_blocks", "tiny_gap", "orthogonal"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def factor_corr(n):
+        m = draw(st.integers(20, 300))
+        loadings = rng.uniform(0.3, 2.0, n) * rng.choice([-1.0, 1.0], n)
+        x = rng.standard_normal((m, 1)) * loadings + rng.standard_normal((m, n))
+        return np.corrcoef(x.T)
+
+    if kind == "factor":
+        psi = factor_corr(draw(st.integers(2, 120)))
+    elif kind == "orthogonal":
+        a = factor_corr(draw(st.integers(2, 60)))
+        psi = np.block([[a, -0.5 * a], [-0.5 * a, a]])
+    else:
+        size, f = draw(st.integers(2, 20)), draw(st.integers(2, 5))
+        rho = np.full(f, draw(st.floats(0.1, 0.9)))
+        if kind == "tiny_gap":
+            rho[0] *= 1.0 + draw(st.sampled_from([1e-9, 1e-7, 1e-5]))
+        psi = np.kron(np.diag(rho), np.ones((size, size)))
+        signs = rng.choice([-1.0, 1.0], size * f)
+        psi *= np.outer(signs, signs)
+    psi = (psi + psi.T) / 2.0
+    np.fill_diagonal(psi, 1.0)
+    return psi
+
+
+@given(psi=top_pair_correlations())
+def test_top_pair_without_spectrum_matches_eigh(psi):
+    """From the eigenvalues alone (power iteration, or the spectrum where
+    that declines), top_pair gives eigh's top pair under the tie rule."""
+    psi1, v1 = pm.CorrelationMatrix(psi=psi, vols=np.ones(len(psi))).top_pair()
+    want1, want_v = eigen.top_eigenvector(*np.linalg.eigh(psi))
+    assert psi1 == pytest.approx(want1, rel=1e-12)
+    if abs(want_v.sum()) < 1e-8:
+        # V1 orthogonal to the uniform vector: rounding picks its sign
+        v1 = v1 * np.sign(v1 @ want_v)
+    np.testing.assert_allclose(v1, want_v, rtol=0, atol=1e-10)
+
+
+@given(psi=factor_correlations(), data=st.data())
+def test_packed_sweep_matches_square_downdate(psi, data):
+    """Downdating the packed upper triangle gives, bit for bit, what
+    downdating the N x N matrix gives, skipped steps included."""
+    k_max = data.draw(st.integers(1, len(psi) - 1))
+    got = cl.residual_correlation_sweep(pm.CorrelationMatrix(psi, np.ones(len(psi))), k_max)
+    want = reference.residual_correlation_sweep(
+        pm.CorrelationMatrix(psi.copy(), np.ones(len(psi))), k_max)
+    assert (got.ks, got.skipped, got.rank_used) == (want.ks, want.skipped, want.rank_used)
+    assert_same_bits(np.array(got.zeta1), np.array(want.zeta1))
+    assert_same_bits(np.array(got.zeta2), np.array(want.zeta2))
 
 
 def mp_gap_roots(sizes, rho):
@@ -582,7 +646,7 @@ def per_time_fstats(values, omega):
         x = omega[observed]
         if observed.sum() > omega.shape[1] and np.all(x.sum(axis=0) > 0):
             usable[s] = True
-            f[s] = cl._through_origin_fstat(y[observed], x)
+            f[s] = reference.through_origin_fstat(y[observed], x)
     return usable, f
 
 
