@@ -4,8 +4,9 @@ Covers binary clusters with and without specific risk, non-diagonal factor
 covariance via the reduced F x F problem, non-binary loadings via the
 Gram-matrix reduction, the uniform-correlation secular equation, and the
 demeaned-loadings bound on the top eigenvalue. Any other model takes the
-dense path: the eigenvalues of its assembled correlation matrix, with the
-top eigenvector lifted from an F x F system.
+dense path: the eigenvalues of its assembled correlation matrix, from a
+G x G problem where its alphas fall into G < N groups of repeated rows,
+with the top eigenvector lifted from an F x F system.
 """
 
 from __future__ import annotations
@@ -491,6 +492,40 @@ def nonbinary_eigenvectors(model):
     return lam @ vecs[:, order] / np.sqrt(w[order])[None, :]
 
 
+def deflated_eigenvalues(model, corr):
+    """Ascending eigenvalues of `corr`, the model's correlation matrix, from
+    a G x G problem where its N alphas form G < N groups of repeated rows;
+    None where G = N or psi does not repeat them.
+
+    Alphas with byte-identical (xi_i, Omega_i) rows, -0.0 taken as 0.0, are
+    the candidate groups. They are kept only where psi itself repeats them:
+    every off-diagonal entry between groups g and h (or within g) equals
+    M_gh, its entry between the first alpha of g and the last of h. Then
+    psi = E M E^T + diag(1 - M_gg) with E the group indicators, so a group
+    of c_g alphas holds c_g - 1 eigenvectors that sum to zero over it, each
+    with eigenvalue 1 - M_gg, and the other G eigenvalues are those of
+    sqrt(c c^T) * M + diag(1 - M_gg), psi on the normalised indicators (the
+    deflation of Bunch, Nielsen and Sorensen 1978). These are eigenvalues of
+    psi as assembled, not of a factored form of it."""
+    rows = np.column_stack([model.xi, model.omega]) + 0.0
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+    _, first, inv, counts = np.unique(keys, return_index=True, return_inverse=True,
+                                      return_counts=True)
+    if len(first) == corr.n:
+        return None
+    last = np.argsort(inv, kind="stable")[np.cumsum(counts) - 1]
+    m = corr.psi[np.ix_(first, last)]
+    repeated = m.take(inv, axis=0).take(inv, axis=1)
+    np.fill_diagonal(repeated, 1.0)
+    if not np.array_equal(repeated, corr.psi):
+        return None
+    d = 1.0 - np.diag(m)
+    root = np.sqrt(counts)
+    block = root[:, None] * m * root[None, :]
+    block[np.diag_indices_from(block)] = counts * np.diag(m) + d
+    return np.sort(np.concatenate([np.linalg.eigvalsh(block), np.repeat(d, counts - 1)]))
+
+
 def lifted_top_pair(model, corr, w):
     """Top eigenpair (psi1, V1) of `corr`, the model's correlation matrix,
     from its ascending eigenvalues w and an F x F system, or None where the
@@ -519,13 +554,18 @@ def lifted_top_pair(model, corr, w):
 
 def dense_rho_star(model, corr=None):
     """Dense path: the spectral summary of the model's correlation matrix
-    `corr` (assembled when not given) from its eigenvalues, which
-    corr.eigenvalues takes from np.linalg.eigvalsh, and the lifted top
-    eigenvector. Where lifted_top_pair declines, the pair comes from
-    corr.top_pair(), so from power iteration on the same eigenvalues, or
-    else from the full eigendecomposition and its tie rule."""
+    `corr` (assembled when not given) from its eigenvalues and the lifted
+    top eigenvector. The eigenvalues come from deflated_eigenvalues where
+    alphas repeat, and are set on corr; otherwise corr.eigenvalues takes
+    them from np.linalg.eigvalsh. Where lifted_top_pair declines, the pair
+    comes from corr.top_pair(), so from power iteration on the same
+    eigenvalues, or else from the full eigendecomposition and its tie
+    rule."""
     if corr is None:
         _, corr = build_covariance(model)
+    w = deflated_eigenvalues(model, corr)
+    if w is not None:
+        corr.eigenvalues = w
     pair = lifted_top_pair(model, corr, corr.eigenvalues)
     return spectral_mod.spectral_summary(corr, pair=pair)
 

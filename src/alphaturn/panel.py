@@ -77,7 +77,8 @@ class CorrelationMatrix:
     costs at most one O(N^3) solve with eigenvectors. `top_pair()` needs
     only `eigenvalues`: without a cached spectrum it takes them from one
     eigvalsh and finds V1 by power iteration, and reads the spectrum only
-    where that declines. Nothing is computed at construction.
+    where that declines. Nothing is computed at construction. A caller that
+    knows the eigenvalues by other means sets `eigenvalues`.
     """
 
     def __init__(self, psi, vols, min_overlap=0, labels=None, spectrum=None):
@@ -86,14 +87,28 @@ class CorrelationMatrix:
         n = self.psi.shape[0]
         if self.psi.shape != (n, n):
             raise ValidationError("correlation matrix must be square")
-        if np.max(np.abs(self.psi - self.psi.T)) > 1e-12:
+        # a NaN or infinite entry makes asym non-finite (inf - inf is NaN);
+        # NaN would pass every comparison below
+        with np.errstate(invalid="ignore"):
+            asym = np.max(np.abs(self.psi - self.psi.T))
+        if not np.isfinite(asym):
+            bad = np.argwhere(~np.isfinite(self.psi))
+            if len(bad):
+                i, j = bad[0]
+                raise ValidationError(
+                    f"correlation matrix entry [{i}, {j}] is not finite: {self.psi[i, j]}")
+        if not asym <= 1e-12:
             raise ValidationError("correlation matrix must be symmetric to 1e-12")
         if np.max(np.abs(np.diag(self.psi) - 1.0)) != 0.0:
             raise ValidationError("correlation matrix diagonal must be exactly 1")
         if np.max(np.abs(self.psi)) > 1.0 + 1e-12:
             raise ValidationError("off-diagonal correlations must lie in [-1, 1]")
-        if self.vols.shape != (n,) or np.any(self.vols <= 0):
+        if self.vols.shape != (n,):
             raise ValidationError("volatilities must be positive, one per alpha")
+        bad = np.flatnonzero(~((self.vols > 0) & np.isfinite(self.vols)))
+        if bad.size:
+            raise ValidationError(
+                f"volatility [{bad[0]}] must be positive and finite, got {self.vols[bad[0]]}")
         self.min_overlap = min_overlap
         self.labels = [f"a{i + 1}" for i in range(n)] if labels is None else labels
         self._psd = None
@@ -121,6 +136,14 @@ class CorrelationMatrix:
             self._eigenvalues = (np.linalg.eigvalsh(self.psi) if self._spectrum is None
                                  else self._spectrum[0])
         return self._eigenvalues
+
+    @eigenvalues.setter
+    def eigenvalues(self, w):
+        """Ascending eigenvalues found without decomposing psi, such as a
+        factor model's from its reduced problem; the top pair and the
+        dense model path then read them in place of an eigvalsh."""
+        self._eigenvalues = w
+        self._top = None
 
     @property
     def psd(self):

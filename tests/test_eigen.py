@@ -16,7 +16,7 @@ from alphaturn import panel as pm
 from alphaturn import spectral as sp
 
 import reference
-from test_properties import cancelling_model, tied_top_model
+from test_properties import cancelling_model, tied_top_distinct_model, tied_top_model
 
 
 def fresh(psi):
@@ -273,24 +273,83 @@ class TestDecompositionBudget:
         assert self.square(monkeypatch, n, argv) == ["eigvalsh"]
         assert json.loads(out.read_text())["method"] == "dense"
 
-    @pytest.mark.parametrize("kind", ["tied-top", "residual-guard"])
-    def test_model_dense_declined_lift(self, tmp_path, monkeypatch, kind):
-        # the lift declines: the top pair comes from the same eigenvalues,
-        # by power iteration or, at a tied top, from eigh
-        model = {"tied-top": tied_top_model, "residual-guard": cancelling_model}[kind]()
-        doc = {"mode": "dense", "omega": model.omega.tolist(),
-               "phi": model.phi_cov.tolist(), "xi": model.xi.tolist()}
+    def model_eigen(self, tmp_path, monkeypatch, model):
+        """N x N decompositions of `model --op eigen` on the model written as
+        a document, with the output document."""
+        doc = {"mode": model.mode, "phi": model.phi_cov.tolist(), "xi": model.xi.tolist()}
+        if model.mode == "binary":
+            doc["assignment"] = model.assignment.tolist()
+        else:
+            doc["omega"] = model.omega.tolist()
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "eig.json"
         argv = ["model", str(path), "--op", "eigen", "--out", str(out)]
+        calls = self.square(monkeypatch, model.n, argv)
+        return calls, json.loads(out.read_text())
+
+    @pytest.mark.parametrize("kind", ["tied-top", "tied-top-distinct", "residual-guard"])
+    def test_model_dense_declined_lift(self, tmp_path, monkeypatch, kind):
+        # the lift declines: the top pair comes from the same eigenvalues,
+        # by power iteration or, at a tied top, from eigh; where alphas
+        # repeat (tied-top), the eigenvalues come from the deflated problem
+        model = {"tied-top": tied_top_model, "tied-top-distinct": tied_top_distinct_model,
+                 "residual-guard": cancelling_model}[kind]()
         _, corr = fm.build_covariance(model)
         assert fm.lifted_top_pair(model, corr, np.linalg.eigvalsh(corr.psi)) is None
-        calls = self.square(monkeypatch, model.n, argv)
-        assert calls == {"tied-top": ["eigvalsh", "eigh"], "residual-guard": ["eigvalsh"]}[kind]
-        doc = json.loads(out.read_text())
+        calls, doc = self.model_eigen(tmp_path, monkeypatch, model)
+        assert calls == {"tied-top": ["eigh"], "tied-top-distinct": ["eigvalsh", "eigh"],
+                         "residual-guard": ["eigvalsh"]}[kind]
         assert doc["method"] == "dense"
         assert doc["rho_star"] == pytest.approx(sp.spectral_summary(corr).rho_star, rel=1e-12)
+
+    def test_model_binary_per_cluster_xi(self, tmp_path, monkeypatch):
+        # 60 alphas in 6 clusters with per-cluster xi: the eigenvalues come
+        # from a 6 x 6 problem, the top pair from the lift
+        rng = np.random.default_rng(11)
+        f = 6
+        b = rng.uniform(0.0, 1.0, (f, f)) + np.eye(f)
+        assignment = rng.integers(1, f + 1, 60)
+        model = fm.FactorModel(omega=fm.binary_loadings(assignment, f), phi_cov=b @ b.T,
+                               xi=rng.uniform(0.3, 1.0, f)[assignment - 1], mode="binary")
+        calls, doc = self.model_eigen(tmp_path, monkeypatch, model)
+        assert calls == []
+        assert doc["method"] == "dense"
+        _, corr = fm.build_covariance(model)
+        w = np.linalg.eigvalsh(corr.psi)
+        np.testing.assert_allclose([v["value"] for v in doc["values"]], w[::-1], rtol=0,
+                                   atol=1e-12 * w[-1])
+        assert doc["rho_star"] == pytest.approx(sp.spectral_summary(corr).rho_star, rel=1e-12)
+
+    def test_model_deflation_of_cancelling_model(self, tmp_path, monkeypatch):
+        # every alpha of cancelling_model twice: its factored Z + U U^T is
+        # off from the assembled matrix by about 1e-8, and a deflation of
+        # the factored form was off by 5.7e-10 psi1; the deflation of psi
+        # itself matches eigh, with no N x N decomposition
+        base = cancelling_model()
+        model = fm.FactorModel(omega=np.repeat(base.omega, 2, axis=0), phi_cov=base.phi_cov,
+                               xi=np.repeat(base.xi, 2))
+        _, corr = fm.build_covariance(model)
+        w = np.linalg.eigvalsh(corr.psi)
+        calls, doc = self.model_eigen(tmp_path, monkeypatch, model)
+        assert calls == []
+        assert doc["method"] == "dense"
+        np.testing.assert_allclose([v["value"] for v in doc["values"]], w[::-1], rtol=0,
+                                   atol=1e-12 * w[-1])
+        assert doc["rho_star"] == pytest.approx(sp.spectral_summary(corr).rho_star, rel=1e-12)
+
+    def test_model_declined_deflation(self):
+        # psi no longer repeats the model's groups after one entry moves by
+        # one ulp: the eigenvalues come from the N x N eigvalsh
+        model = tied_top_model()
+        _, corr = fm.build_covariance(model)
+        psi = corr.psi.copy()
+        psi[0, 1] = psi[1, 0] = np.nextafter(psi[0, 1], 1.0)
+        nudged = pm.CorrelationMatrix(psi, corr.vols)
+        assert fm.deflated_eigenvalues(model, corr) is not None
+        assert fm.deflated_eigenvalues(model, nudged) is None
+        fm.dense_rho_star(model, nudged)
+        assert np.array_equal(nudged.eigenvalues, np.linalg.eigvalsh(psi))
 
     def decomposed(self, monkeypatch, argv):
         """Arguments of every eigh/eigvalsh/cholesky call made by argv."""

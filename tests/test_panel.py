@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import stat
 
 import numpy as np
@@ -17,6 +18,21 @@ def make_corr(psi, vols=None):
     return pm.CorrelationMatrix(
         psi=psi, vols=np.ones(n) if vols is None else vols
     )
+
+
+class TestCorrelationMatrix:
+    @pytest.mark.parametrize("psi, where", [
+        # NaN fails no comparison, so the symmetry and range checks pass it
+        ([[1, np.nan, 0.2], [np.nan, 1, 0.1], [0.2, 0.1, 1]], "[0, 1]"),
+        ([[1, 0.2, 0.1], [0.2, np.inf, 0.1], [0.1, 0.1, 1]], "[1, 1]"),
+    ], ids=["nan", "inf"])
+    def test_rejects_non_finite_entry(self, psi, where):
+        with pytest.raises(ValidationError, match=re.escape(f"entry {where} is not finite")):
+            pm.CorrelationMatrix(psi, np.ones(3))
+
+    def test_rejects_non_finite_vol(self):
+        with pytest.raises(ValidationError, match=r"volatility \[0\] must be positive and finite"):
+            pm.CorrelationMatrix(np.eye(2), [float("nan"), 1.0])
 
 
 class TestLoadPanel:

@@ -4,7 +4,8 @@ writes, secular_roots sum to N, interlace their poles and match a 60-digit
 root, sign canonicalization keeps psi1 and rho_star, with or without a
 cached spectrum, the top pair from the eigenvalues alone is eigh's, the
 packed residual sweep is the N x N one bit for bit, the dense model path
-gives what eigh of the assembled matrix gives, the model-document check
+gives what eigh of the assembled matrix gives, with repeated alphas
+deflated too, the model-document check
 reports what jsonschema reports, _cluster_xi gives what a per-cluster loop
 gives, the F-test's cluster-mean F-statistics give what one least-squares
 fit per time step gives, and the np.loadtxt panel and correlation loaders
@@ -584,6 +585,71 @@ def test_dense_path_falls_back_to_eigh(model):
     structure, method = fm.model_eigenstructure(model)
     assert method == "dense"
     assert structure.rho_star == sp.spectral_summary(corr).rho_star
+
+
+def tied_top_distinct_model():
+    """Two clusters on separate factors, each with xi 0.4, 0.5 and 0.6, given
+    as dense loadings: no two alphas repeat, and the top eigenvalue is
+    double."""
+    return fm.FactorModel(omega=fm.binary_loadings([1, 1, 1, 2, 2, 2], 2),
+                          phi_cov=np.eye(2), xi=np.tile([0.4, 0.5, 0.6], 2))
+
+
+@st.composite
+def repeated_alpha_models(draw):
+    """Dense-path models whose alphas fall into fewer groups of repeated
+    rows than there are alphas: binary ones with per-cluster specific risk
+    and non-diagonal Phi; dense loadings with repeated rows, where some
+    copies hold -0.0 for 0.0, which the grouping takes as 0.0; and binary
+    ones whose two largest clusters tie at the top, above two single
+    alphas with correlated factors."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["binary", "dense", "tied"]))
+    if kind == "tied":
+        k = draw(st.integers(3, 6))
+        r = rng.uniform(-0.9, 0.9)
+        phi = np.eye(4)
+        phi[2, 3] = phi[3, 2] = r
+        xi = np.repeat([rng.uniform(0.1, 0.8), rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)],
+                       [2 * k, 1, 1])
+        return fm.FactorModel(omega=fm.binary_loadings(np.repeat([1, 2, 3, 4], [k, k, 1, 1]), 4),
+                              phi_cov=phi, xi=xi, mode="binary")
+    f = draw(st.integers(2 if kind == "binary" else 1, 6))
+    b = rng.uniform(0.0, 1.0, (f, f)) + np.eye(f)
+    phi = b @ b.T
+    groups = f if kind == "binary" else draw(st.integers(1, 8))
+    counts = rng.integers(1, 6, groups)
+    counts[0] = max(counts[0], 2)
+    member = rng.permutation(np.repeat(np.arange(groups), counts))
+    xi = rng.uniform(0.1, 1.0, groups)[member]
+    if kind == "binary":
+        return fm.FactorModel(omega=fm.binary_loadings(member + 1, f), phi_cov=phi, xi=xi,
+                              mode="binary")
+    rows = rng.uniform(0.1, 1.0, (groups, f))
+    rows[rng.random((groups, f)) < 0.3] = 0.0
+    omega = rows[member]
+    signed = rng.random(len(member)) < 0.5
+    omega[signed[:, None] & (omega == 0.0)] = -0.0
+    return fm.FactorModel(omega=omega, phi_cov=phi, xi=xi)
+
+
+@settings(deadline=None)
+@given(model=repeated_alpha_models())
+@example(model=tied_top_model())
+def test_deflated_dense_path_matches_eigh(model):
+    """Eigenvalues deflated to one per group of repeated alphas, plus each
+    group's repeated within-group value, agree with eigh of the assembled matrix, and so does
+    rho_star, at a tied top too."""
+    _, corr = fm.build_covariance(model)
+    assert fm.deflated_eigenvalues(model, corr) is not None
+    structure, method = fm.model_eigenstructure(model)
+    assert method == "dense"
+    want = sp.spectral_summary(corr)
+    w = corr.spectrum[0]
+    np.testing.assert_allclose(structure.eigenvalues(), w[::-1], rtol=0,
+                               atol=1e-12 * max(w[-1], 1.0))
+    assert structure.rho_star == pytest.approx(want.rho_star, rel=1e-12, abs=0)
+    assert fm.dense_rho_star(model).rho_star == structure.rho_star
 
 
 @given(seed=st.integers(0, 2**32 - 1), f=st.integers(1, 6), data=st.data())
