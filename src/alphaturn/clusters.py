@@ -40,7 +40,6 @@ class ClusterCountEstimate:
 
     lower_bound: float
     psi_star: float
-    knee: int = None
 
     @property
     def lower_bound_ceiling(self):

@@ -4,8 +4,8 @@ the guard on a top eigenvector found without the full eigendecomposition.
 
 The spectrum itself is computed and cached on ``CorrelationMatrix``. A top
 eigenpair is read from the full eigendecomposition with
-``top_eigenvector``, or from the eigenvalues alone with
-``power_top_pair``, whose vector ``checked_top_pair`` guards.
+``top_eigenvector``, or from the eigenvalues alone with the guarded
+``power_top_pair``.
 """
 
 from __future__ import annotations
@@ -60,36 +60,20 @@ def top_eigenvector(w, v):
     return w[-1], unit_nonnegative_sum(vec)
 
 
-# A top eigenvector found without the full eigendecomposition (lifted from
-# an F x F system, or by power iteration) is kept only when its residual
+# A top eigenvector found by power iteration is kept only when its residual
 # |Psi V1 - psi1 V1| is at most this fraction of the eigengap psi1 - psi2:
 # by the Davis-Kahan bound it then lies within about this angle (in
-# radians) of the top eigenvector. Lifted vectors of models with N = 60 to
-# 1600 and a clear top eigenvalue give fractions near 2e-15.
+# radians) of the top eigenvector.
 TOP_RESIDUAL_TOL = 1e-12
-
-
-def checked_top_pair(psi, w, vec):
-    """(psi1, V1) of the symmetric matrix psi, whose ascending eigenvalues
-    are w, with V1 the candidate top eigenvector vec normalized as
-    top_eigenvector does; or None where vec may not be used: psi1 is not
-    simple under DEGEN_TOL, vec is zero or not finite, or
-    |psi V1 - psi1 V1| exceeds TOP_RESIDUAL_TOL times psi1 - psi2."""
-    if top_multiplicity(w) > 1 or not 0 < np.linalg.norm(vec) < np.inf:
-        return None
-    psi1 = w[-1]
-    v1 = unit_nonnegative_sum(vec)
-    gap = psi1 - w[-2] if len(w) > 1 else psi1
-    if not np.linalg.norm(psi @ v1 - psi1 * v1) <= TOP_RESIDUAL_TOL * gap:
-        return None
-    return psi1, v1
 
 
 def power_top_pair(psi, w):
     """(psi1, V1) of the symmetric matrix psi from its ascending eigenvalues
-    w, with V1 found by power iteration and kept by checked_top_pair; None
-    where psi1 is not simple, the iteration would take too many steps, or
-    the guard declines its vector.
+    w, with V1 found by power iteration and normalized as top_eigenvector
+    normalizes it; None where psi1 is not simple under DEGEN_TOL, the
+    iteration would take too many steps, or the guard declines its vector:
+    the vector is zero or not finite, or |psi V1 - psi1 V1| exceeds
+    TOP_RESIDUAL_TOL times psi1 - psi2.
 
     The iteration runs on psi - sigma I with sigma = (psi2 + psi_min) / 2,
     which maps every eigenvalue but psi1 into [-h, h], h = (psi2 - psi_min)
@@ -131,4 +115,9 @@ def power_top_pair(psi, w):
         if not size > 0:
             return None
         x = y / size
-    return checked_top_pair(psi, w, vec)
+    if not 0 < np.linalg.norm(vec) < np.inf:
+        return None
+    v1 = unit_nonnegative_sum(vec)
+    if not np.linalg.norm(psi @ v1 - psi1 * v1) <= settled:
+        return None
+    return psi1, v1

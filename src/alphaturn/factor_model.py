@@ -6,7 +6,7 @@ Gram-matrix reduction, the uniform-correlation secular equation, and the
 demeaned-loadings bound on the top eigenvalue. Any other model takes the
 dense path: the eigenvalues of its assembled correlation matrix, from a
 G x G problem where its alphas fall into G < N groups of repeated rows,
-with the top eigenvector lifted from an F x F system.
+and the top eigenvector by power iteration on those eigenvalues.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .panel import CorrelationMatrix
-from . import eigen
 from . import spectral as spectral_mod
 
 MODEL_SCHEMA = {
@@ -129,6 +128,9 @@ class FactorModel:
         if self.omega.ndim != 2:
             raise ValidationError("loadings must be an N x F matrix")
         n, f = self.omega.shape
+        if n < 1 or f < 1:
+            raise ValidationError(f"a model needs at least one alpha and one factor, "
+                                  f"got N={n}, F={f}")
         if self.phi_cov.shape != (f, f):
             raise ValidationError("factor covariance shape does not match loadings")
         if not all(np.isfinite(a).all() for a in (self.omega, self.phi_cov, self.xi)):
@@ -526,48 +528,19 @@ def deflated_eigenvalues(model, corr):
     return np.sort(np.concatenate([np.linalg.eigvalsh(block), np.repeat(d, counts - 1)]))
 
 
-def lifted_top_pair(model, corr, w):
-    """Top eigenpair (psi1, V1) of `corr`, the model's correlation matrix,
-    from its ascending eigenvalues w and an F x F system, or None where the
-    lift is not safe to use.
-
-    Psi = Z + U U^T with z_i = xi_i^2 / s_i^2 and U = Omega L / s (L the
-    Cholesky factor of Phi, s the total volatilities). For an eigenvalue
-    psi1 > max z, Psi v = psi1 v gives v = (psi1 - Z)^-1 U c with c in the
-    null space of I - U^T (psi1 - Z)^-1 U (Golub 1973). The pair is
-    returned when psi1 is simple under eigen.DEGEN_TOL, psi1 > max z and
-    eigen.checked_top_pair keeps V1."""
-    psi1 = w[-1]
-    if eigen.top_multiplicity(w) > 1:
-        return None
-    s = corr.vols
-    z = (model.xi / s) ** 2
-    if not psi1 > z.max():
-        return None
-    u = (model.omega @ model.phi_chol) / s[:, None]
-    scaled = u / (psi1 - z)[:, None]
-    # I - U^T (lambda - Z)^-1 U rises with lambda and is positive definite
-    # above psi1, so at psi1 its null vector belongs to its lowest eigenvalue
-    _, c = np.linalg.eigh(np.eye(model.f) - u.T @ scaled)
-    return eigen.checked_top_pair(corr.psi, w, scaled @ c[:, 0])
-
-
 def dense_rho_star(model, corr=None):
     """Dense path: the spectral summary of the model's correlation matrix
-    `corr` (assembled when not given) from its eigenvalues and the lifted
-    top eigenvector. The eigenvalues come from deflated_eigenvalues where
-    alphas repeat, and are set on corr; otherwise corr.eigenvalues takes
-    them from np.linalg.eigvalsh. Where lifted_top_pair declines, the pair
-    comes from corr.top_pair(), so from power iteration on the same
-    eigenvalues, or else from the full eigendecomposition and its tie
-    rule."""
+    `corr` (assembled when not given). Its eigenvalues come from
+    deflated_eigenvalues where alphas repeat, and are set on corr; otherwise
+    corr.eigenvalues takes them from np.linalg.eigvalsh. The top pair comes
+    from corr.top_pair(), so from power iteration on the same eigenvalues,
+    or else from the full eigendecomposition and its tie rule."""
     if corr is None:
         _, corr = build_covariance(model)
     w = deflated_eigenvalues(model, corr)
     if w is not None:
         corr.eigenvalues = w
-    pair = lifted_top_pair(model, corr, corr.eigenvalues)
-    return spectral_mod.spectral_summary(corr, pair=pair)
+    return spectral_mod.spectral_summary(corr)
 
 
 def model_eigenstructure(model):

@@ -54,16 +54,13 @@ class TurnoverInputs:
             raise ValidationError("taus and weights must have the same length")
 
 
-def spectral_summary(corr, pair=None):
-    """Compute the top eigenpair and the turnover-reduction coefficient
-    rho_star = psi1 * |sum(V1)| / N^(3/2).
-
-    The pair is `pair`, the (psi1, V1) of `corr` where the caller already
-    holds it, or else `corr.top_pair()`. gamma = rho_star / rho_prime is
-    None where rho_prime <= 0."""
+def spectral_summary(corr):
+    """Compute the top eigenpair (`corr.top_pair()`) and the
+    turnover-reduction coefficient rho_star = psi1 * |sum(V1)| / N^(3/2).
+    gamma = rho_star / rho_prime is None where rho_prime <= 0."""
     psi = corr.psi
     n = corr.n
-    psi1, v1 = corr.top_pair() if pair is None else pair
+    psi1, v1 = corr.top_pair()
     rho_star = psi1 * abs(np.sum(v1)) / n**1.5
     total = float(np.sum(psi))
     rho_prime = total / n**2

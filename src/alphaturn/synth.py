@@ -40,6 +40,12 @@ class SynthConfig:
             raise ValidationError(f"unknown size_scheme {self.size_scheme!r}")
 
 
+# Draws allowed for random_multinomial sizes before giving up: N = 100
+# alphas in F = 50 clusters leave no cluster empty once in about 6,000
+# draws, N = F = 50 once in about 3e20.
+MAX_SIZE_DRAWS = 100_000
+
+
 def _rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
@@ -52,10 +58,15 @@ def gen_cluster_spec(config):
     if config.size_scheme == "equal":
         sizes = np.asarray(optimal_allocation(n, f).sizes)
     else:
-        while True:
+        for _ in range(MAX_SIZE_DRAWS):
             sizes = rng.multinomial(n, np.full(f, 1.0 / f))
             if np.all(sizes >= 1):
                 break
+        else:
+            raise ValidationError(
+                f"random_multinomial left a cluster empty in all {MAX_SIZE_DRAWS} draws "
+                f"of N={n} alphas into F={f} clusters; use the 'equal' size scheme or "
+                "fewer clusters")
     phi = rng.uniform(*config.phi_range, f)
     xi = rng.uniform(*config.xi_range, f)
     return ClusterSpec.from_sizes(sizes, phi=phi, xi=xi)

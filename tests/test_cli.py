@@ -13,6 +13,8 @@ from alphaturn import panel as pm
 from alphaturn import spectral as sp
 from alphaturn.errors import NumericalError
 
+from test_startup import python
+
 
 def run(argv):
     return cli.main(argv)
@@ -427,6 +429,16 @@ class TestModel:
         assert vals == pytest.approx([3.0, 1.0, 0.0, 0.0], abs=1e-12)
         assert doc["rho_star"] == pytest.approx(3.0 * np.sqrt(3.0) / 8.0, abs=1e-12)
 
+    @pytest.mark.parametrize("doc", [
+        {"mode": "dense", "omega": [[]], "phi": []},
+        {"mode": "binary", "sizes": [], "phi": []},
+    ], ids=["dense", "binary"])
+    def test_zero_factors_exit_2(self, tmp_path, capsys, doc):
+        path = self._write_model(tmp_path, doc)
+        assert run(["model", str(path), "--op", "eigen"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: a model needs at least one alpha and one factor")
+
     def test_eigen_nondiagonal(self, tmp_path):
         phi = [[1.0, 0.5], [0.5, 1.0]]
         path = self._write_model(
@@ -530,7 +542,7 @@ class TestModel:
             assert run(["model", str(path), "--op", op, "--out", str(out)]) == 0
             got = json.loads(out.read_text())
             assert got["method"] == "dense"
-            # the lifted top eigenvector against eigh's
+            # the power-iterated top eigenvector against eigh's
             assert got["rho_star"] == pytest.approx(want, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("grid, message", [
@@ -608,6 +620,20 @@ class TestSynth:
         model = fm.FactorModel.from_json(m.read_text())
         assert model.n == 10
         assert model.f == 2
+
+    def test_random_multinomial_too_many_clusters_exit_2(self, tmp_path):
+        # every cluster nonempty in one draw of 50 alphas into 50 clusters has
+        # odds near 3e-21: the redraws stop at a bound. Run in a subprocess
+        # with a timeout, so that unbounded redraws fail the test instead of
+        # hanging it.
+        proc = python("-c", "import sys; from alphaturn.cli import main; sys.exit(main())",
+                      "synth", "--seed", "1", "--n", "50", "--clusters", "50",
+                      "--size-scheme", "random_multinomial",
+                      "--panel-out", str(tmp_path / "p.csv"),
+                      "--model-out", str(tmp_path / "m.json"))
+        assert proc.returncode == 2
+        assert "'equal' size scheme or fewer clusters" in proc.stderr
+        assert not (tmp_path / "p.csv").exists()
 
     def test_bad_factor_rho_exit_2(self, tmp_path):
         assert run(

@@ -16,7 +16,8 @@ from alphaturn import panel as pm
 from alphaturn import spectral as sp
 
 import reference
-from test_properties import cancelling_model, tied_top_distinct_model, tied_top_model
+from test_properties import (cancelling_model, near_tied_model, tied_top_distinct_model,
+                             tied_top_model)
 
 
 def fresh(psi):
@@ -269,7 +270,7 @@ class TestDecompositionBudget:
         path.write_text(json.dumps(doc))
         out = tmp_path / "eig.json"
         argv = ["model", str(path), "--op", "eigen", "--out", str(out)]
-        # eigenvalues only: the top eigenvector is lifted from F x F
+        # eigenvalues only: the top eigenvector comes by power iteration
         assert self.square(monkeypatch, n, argv) == ["eigvalsh"]
         assert json.loads(out.read_text())["method"] == "dense"
 
@@ -288,24 +289,24 @@ class TestDecompositionBudget:
         calls = self.square(monkeypatch, model.n, argv)
         return calls, json.loads(out.read_text())
 
-    @pytest.mark.parametrize("kind", ["tied-top", "tied-top-distinct", "residual-guard"])
-    def test_model_dense_declined_lift(self, tmp_path, monkeypatch, kind):
-        # the lift declines: the top pair comes from the same eigenvalues,
-        # by power iteration or, at a tied top, from eigh; where alphas
-        # repeat (tied-top), the eigenvalues come from the deflated problem
+    @pytest.mark.parametrize("kind", ["tied-top", "tied-top-distinct", "cancelling",
+                                      "near-tied"])
+    def test_model_dense_top_pair(self, tmp_path, monkeypatch, kind):
+        # the top pair comes from the same eigenvalues by power iteration
+        # or, at a tied or near-tied top, from eigh; where alphas repeat
+        # (tied-top), the eigenvalues come from the deflated problem
         model = {"tied-top": tied_top_model, "tied-top-distinct": tied_top_distinct_model,
-                 "residual-guard": cancelling_model}[kind]()
+                 "cancelling": cancelling_model, "near-tied": near_tied_model}[kind]()
         _, corr = fm.build_covariance(model)
-        assert fm.lifted_top_pair(model, corr, np.linalg.eigvalsh(corr.psi)) is None
         calls, doc = self.model_eigen(tmp_path, monkeypatch, model)
         assert calls == {"tied-top": ["eigh"], "tied-top-distinct": ["eigvalsh", "eigh"],
-                         "residual-guard": ["eigvalsh"]}[kind]
+                         "cancelling": ["eigvalsh"], "near-tied": ["eigvalsh", "eigh"]}[kind]
         assert doc["method"] == "dense"
         assert doc["rho_star"] == pytest.approx(sp.spectral_summary(corr).rho_star, rel=1e-12)
 
     def test_model_binary_per_cluster_xi(self, tmp_path, monkeypatch):
         # 60 alphas in 6 clusters with per-cluster xi: the eigenvalues come
-        # from a 6 x 6 problem, the top pair from the lift
+        # from a 6 x 6 problem, the top pair by power iteration
         rng = np.random.default_rng(11)
         f = 6
         b = rng.uniform(0.0, 1.0, (f, f)) + np.eye(f)

@@ -36,6 +36,20 @@ class TestClusterSpecGen:
         assert spec.sizes.sum() == 30
         assert np.all(spec.sizes >= 1)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_multinomial_bounded_draws_keep_sizes(self, seed):
+        # N = 100, F = 50 takes thousands of redraws, within the bound: the
+        # spec is the one the unbounded redraw loop gives
+        config = base_config(seed=seed, size_scheme="random_multinomial", n_alphas=100,
+                             n_clusters=50)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        while not np.all((sizes := rng.multinomial(100, np.full(50, 1 / 50))) >= 1):
+            pass
+        spec = sy.gen_cluster_spec(config)
+        assert np.array_equal(spec.sizes, sizes)
+        assert np.array_equal(spec.phi, rng.uniform(*config.phi_range, 50))
+        assert np.array_equal(spec.xi, rng.uniform(*config.xi_range, 50))
+
     def test_deterministic(self):
         a = sy.gen_cluster_spec(base_config())
         b = sy.gen_cluster_spec(base_config())
