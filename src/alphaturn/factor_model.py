@@ -19,15 +19,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .panel import CorrelationMatrix
+from .panel import CorrelationMatrix, unit_diagonal
 from . import spectral as spectral_mod
 
+# cluster sizes and ids, which numpy holds as int64
+_INT64_MAX = 2**63 - 1
+_COUNTS = {"type": "array", "items": {"type": "integer", "minimum": 1, "maximum": _INT64_MAX}}
 MODEL_SCHEMA = {
     "type": "object",
     "properties": {
         "mode": {"enum": ["binary", "dense"]},
-        "sizes": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        "assignment": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+        "sizes": _COUNTS,
+        "assignment": _COUNTS,
         "phi": {"type": "array"},
         "xi": {"type": "array", "items": {"type": "number", "minimum": 0}},
         "omega": {
@@ -71,6 +74,10 @@ class ClusterSpec:
             raise ValidationError("phi must be positive, one per cluster")
         if self.xi.shape != (f,) or np.any(self.xi < 0):
             raise ValidationError("xi must be nonnegative, one per cluster")
+        with np.errstate(over="ignore"):  # xi^2 + N_A phi: a cluster's eigenvalue numerator
+            bad = np.flatnonzero(~np.isfinite(self.xi**2 + self.sizes * self.phi))
+        if bad.size:
+            raise ValidationError(f"cluster {bad[0] + 1}: xi^2 + N_A phi overflows")
         counts = np.bincount(self.assignment - 1, minlength=f)
         if len(counts) != f or not np.array_equal(counts, self.sizes):
             raise ValidationError("assignment counts do not match sizes")
@@ -189,26 +196,42 @@ class FactorModel:
     def from_doc(cls, doc):
         """Model from a parsed model document, checked against MODEL_SCHEMA.
         A binary document gives its 1-based cluster ids as `assignment`, or
-        as `sizes` for consecutive runs of alphas."""
+        as `sizes` for consecutive runs of alphas; see _binary_doc_loadings."""
         violation = _schema_violation(doc)
         if violation:
             pointer, message = violation
             raise ValidationError(f"model schema violation at {pointer}: {message}")
-        if doc["mode"] == "binary" and "assignment" not in doc and "sizes" in doc:
-            sizes = np.asarray(doc["sizes"], dtype=int)
-            doc = dict(doc, assignment=np.repeat(np.arange(1, len(sizes) + 1), sizes))
         phi = _float_array(doc, "phi")
         if phi.ndim == 1:
             phi = np.diag(phi)
         try:
             if doc["mode"] == "binary":
-                omega = binary_loadings(doc["assignment"], phi.shape[0])
+                omega = _binary_doc_loadings(doc, phi.shape[0])
             else:
                 omega = _float_array(doc, "omega")
         except KeyError as exc:
             raise ValidationError(f"model schema violation at /{exc.args[0]}: missing") from None
         xi = np.asarray(doc.get("xi", np.zeros(omega.shape[0])), dtype=float)
         return cls(omega=omega, phi_cov=phi, xi=xi, mode=doc["mode"])
+
+
+def _binary_doc_loadings(doc, f):
+    """Loadings of a binary model document with F clusters. Its cluster ids
+    are `assignment`, or else consecutive runs of `sizes`; where both are
+    given they must agree, and each cluster must hold an alpha."""
+    sizes = doc.get("sizes")
+    if "assignment" in doc or sizes is None:
+        assignment = doc["assignment"]
+    else:
+        assignment = np.repeat(np.arange(1, len(sizes) + 1), np.asarray(sizes, dtype=int))
+    omega = binary_loadings(assignment, f)
+    counts = np.count_nonzero(omega, axis=0)
+    if "assignment" in doc and sizes is not None and counts.tolist() != sizes:
+        raise ValidationError(f"/sizes does not match /assignment's counts {counts.tolist()}")
+    if not counts.all():
+        raise ValidationError(
+            f"cluster sizes must be positive: cluster {np.argmin(counts) + 1} has no alpha")
+    return omega
 
 
 def _is_number(x):
@@ -220,12 +243,12 @@ def _is_integer(x):
         isinstance(x, int) or isinstance(x, float) and x.is_integer())
 
 
-# per-element type test, minimum and type name of the MODEL_SCHEMA arrays
-# whose items are numbers
+# per-element type test, minimum, maximum and type name of the MODEL_SCHEMA
+# arrays whose items are numbers
 _ITEM_RULES = {
-    "assignment": (_is_integer, 1, "integer"),
-    "sizes": (_is_integer, 1, "integer"),
-    "xi": (_is_number, 0, "number"),
+    "assignment": (_is_integer, 1, _INT64_MAX, "integer"),
+    "sizes": (_is_integer, 1, _INT64_MAX, "integer"),
+    "xi": (_is_number, 0, math.inf, "number"),
 }
 
 
@@ -255,10 +278,11 @@ def _schema_violation(doc):
                       for i, row in enumerate(value) if isinstance(row, list)
                       for j, x in enumerate(row) if not _is_number(x)]
         elif key in _ITEM_RULES:
-            is_type, minimum, name = _ITEM_RULES[key]
+            is_type, minimum, maximum, name = _ITEM_RULES[key]
             found = [((i,), f"{x!r} is not of type {name!r}" if not is_type(x)
-                      else f"{x!r} is less than the minimum of {minimum!r}")
-                     for i, x in enumerate(value) if not is_type(x) or x < minimum]
+                      else f"{x!r} is less than the minimum of {minimum!r}" if x < minimum
+                      else f"{x!r} is greater than the maximum of {maximum!r}")
+                     for i, x in enumerate(value) if not (is_type(x) and minimum <= x <= maximum)]
         if found:
             path, message = min(found, key=lambda err: err[0])
             return "/" + "/".join(map(str, (key, *path))), message
@@ -338,17 +362,19 @@ class NonbinaryBound:
 def build_covariance(model):
     """Assemble Gamma = diag(xi^2) + Omega Phi Omega^T and its correlation
     matrix (spectrum not yet computed)."""
-    gamma = np.diag(model.xi**2) + model.omega @ model.phi_cov @ model.omega.T
-    var = np.diag(gamma)
-    if np.any(var <= 0):
-        i = int(np.argmin(var))
-        raise ValidationError(f"alpha {i} has zero total variance")
-    sig = np.sqrt(var)
-    psi = gamma / np.outer(sig, sig)
-    psi = (psi + psi.T) / 2.0
-    np.fill_diagonal(psi, 1.0)
-    corr = CorrelationMatrix(psi=psi, vols=sig)
-    return gamma, corr
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma = np.diag(model.xi**2) + model.omega @ model.phi_cov @ model.omega.T
+    _check_total_variance(np.diag(gamma))
+    return gamma, CorrelationMatrix(psi=unit_diagonal(gamma))
+
+
+def _check_total_variance(var):
+    """Raise naming the first alpha whose total variance (or its square
+    root) `var` is zero, or is not finite because it overflowed."""
+    bad = np.flatnonzero(~((var > 0) & np.isfinite(var)))
+    if bad.size:
+        kind = "zero" if var[bad[0]] <= 0 else "non-finite (overflowing)"
+        raise ValidationError(f"alpha {bad[0]} has {kind} total variance")
 
 
 def _binary_top(spec):
@@ -462,10 +488,9 @@ def _loadings_gram(model):
     if np.any(model.xi != 0):
         raise ValidationError("nonzero specific risk: use the dense path (dense_rho_star)")
     omega_t = model.omega @ model.phi_chol
-    sig = np.linalg.norm(omega_t, axis=1)
-    if np.any(sig <= 0):
-        i = int(np.argmin(sig))
-        raise ValidationError(f"alpha {i} has zero total variance")
+    with np.errstate(over="ignore"):
+        sig = np.linalg.norm(omega_t, axis=1)
+    _check_total_variance(sig)
     lam = omega_t / sig[:, None]
     w, vecs = np.linalg.eigh(lam.T @ lam)
     if w[0] <= 1e-10 * max(w[-1], 1.0):
@@ -554,10 +579,8 @@ def model_eigenstructure(model):
             spec = ClusterSpec(model.sizes, model.assignment, np.diag(model.phi_cov), xi)
             return binary_eigensystem(spec), "closed-form-binary"
         if np.all(model.xi == 0):
-            d = np.sqrt(np.diag(model.phi_cov))
-            factor_corr = model.phi_cov / np.outer(d, d)
-            np.fill_diagonal(factor_corr, 1.0)
-            return reduce_nondiagonal(model.sizes, factor_corr), "closed-form-nondiagonal"
+            return (reduce_nondiagonal(model.sizes, unit_diagonal(model.phi_cov)),
+                    "closed-form-nondiagonal")
     elif np.all(model.xi == 0):
         return reduce_nonbinary(model), "reduced-nonbinary"
     _, corr = build_covariance(model)

@@ -70,7 +70,7 @@ class AlphaPanel:
 
 
 class CorrelationMatrix:
-    """Symmetric unit-diagonal correlation matrix with companion volatilities.
+    """Symmetric unit-diagonal correlation matrix.
 
     Every consumer of eigenvectors reads the eigendecomposition through
     `spectrum`, which is computed on first use and cached, so one matrix
@@ -81,9 +81,8 @@ class CorrelationMatrix:
     knows the eigenvalues by other means sets `eigenvalues`.
     """
 
-    def __init__(self, psi, vols, min_overlap=0, labels=None, spectrum=None):
+    def __init__(self, psi, *, min_overlap=0, labels=None, spectrum=None):
         self.psi = np.asarray(psi, dtype=float)
-        self.vols = np.asarray(vols, dtype=float)
         n = self.psi.shape[0]
         if self.psi.shape != (n, n):
             raise ValidationError("correlation matrix must be square")
@@ -103,12 +102,6 @@ class CorrelationMatrix:
             raise ValidationError("correlation matrix diagonal must be exactly 1")
         if np.max(np.abs(self.psi)) > 1.0 + 1e-12:
             raise ValidationError("off-diagonal correlations must lie in [-1, 1]")
-        if self.vols.shape != (n,):
-            raise ValidationError("volatilities must be positive, one per alpha")
-        bad = np.flatnonzero(~((self.vols > 0) & np.isfinite(self.vols)))
-        if bad.size:
-            raise ValidationError(
-                f"volatility [{bad[0]}] must be positive and finite, got {self.vols[bad[0]]}")
         self.min_overlap = min_overlap
         self.labels = [f"a{i + 1}" for i in range(n)] if labels is None else labels
         self._psd = None
@@ -169,6 +162,17 @@ class SignVector:
 
     signs: np.ndarray
     objective: float
+
+
+def unit_diagonal(cov):
+    """cov_ij / (d_i d_j) with d = sqrt(diag(cov)): the correlation matrix
+    of a covariance matrix, made exactly symmetric by averaging it with its
+    transpose, with an exact unit diagonal."""
+    d = np.sqrt(np.diag(cov))
+    psi = cov / np.outer(d, d)
+    psi = (psi + psi.T) / 2.0
+    np.fill_diagonal(psi, 1.0)
+    return psi
 
 
 def read_csv(path, kind):
@@ -336,12 +340,10 @@ def _atomic_write(path, text):
 def pairwise_correlation(panel, min_overlap=12):
     """Pearson correlation over pairwise-complete observations.
 
-    Volatilities are full-sample standard deviations per column (ddof=1).
     Raises if any pair has fewer than min_overlap joint observations or a
     column has zero variance.
     """
     x = panel.values
-    n = panel.n_alphas
     obs = (~np.isnan(x)).astype(float)
     x0 = np.where(np.isnan(x), 0.0, x)
 
@@ -376,18 +378,7 @@ def pairwise_correlation(panel, min_overlap=12):
         )
     psi = np.clip((psi + psi.T) / 2.0, -1.0, 1.0)
     np.fill_diagonal(psi, 1.0)
-
-    counts = np.sum(obs, axis=0)
-    means = np.sum(x0, axis=0) / counts
-    ss = np.sum(x0 * x0, axis=0) - counts * means**2
-    vols = np.sqrt(ss / (counts - 1))
-
-    return CorrelationMatrix(
-        psi=psi,
-        vols=vols,
-        min_overlap=int(cnt.min()),
-        labels=list(panel.labels),
-    )
+    return CorrelationMatrix(psi, min_overlap=int(cnt.min()), labels=list(panel.labels))
 
 
 def regress_out(panel, factors):
@@ -417,20 +408,19 @@ def regress_out(panel, factors):
     return AlphaPanel(labels=list(panel.labels), times=list(panel.times), values=out)
 
 
-def canonicalize_signs(corr, max_passes=None):
+def canonicalize_signs(corr):
     """Greedy sign flipping maximizing the total correlation sum.
 
     Scans indices in ascending order and flips any sign whose row sum is
-    negative; stops after a full pass with no flip. Returns the sign vector
-    and the re-signed matrix S Psi S, which carries over a cached spectrum:
-    its eigenvalues are Psi's and its eigenvectors S V.
+    negative; stops after a full pass with no flip, or after 100 N passes.
+    Returns the sign vector and the re-signed matrix S Psi S, which carries
+    over a cached spectrum: its eigenvalues are Psi's and its eigenvectors
+    S V.
     """
     psi = corr.psi
     n = corr.n
-    if max_passes is None:
-        max_passes = 100 * n
     s = np.ones(n)
-    for _ in range(max_passes):
+    for _ in range(100 * n):
         flipped = False
         for i in range(n):
             row = s[i] * np.dot(psi[i], s) - psi[i, i]  # exclude diagonal
@@ -439,47 +429,28 @@ def canonicalize_signs(corr, max_passes=None):
                 flipped = True
         if not flipped:
             break
-    new_psi = psi * np.outer(s, s)
-    np.fill_diagonal(new_psi, 1.0)
-    objective = float(s @ psi @ s)
-    sign_vec = SignVector(signs=s.copy(), objective=objective)
     spectrum = None
     if corr._spectrum is not None:
         w, v = corr._spectrum
         spectrum = (w, s[:, None] * v)
-    new_corr = CorrelationMatrix(
-        psi=new_psi,
-        vols=corr.vols.copy(),
-        min_overlap=corr.min_overlap,
-        labels=list(corr.labels),
-        spectrum=spectrum,
-    )
-    return sign_vec, new_corr
+    # the diagonal stays exactly 1, as s_i^2 = 1
+    new_corr = CorrelationMatrix(psi * np.outer(s, s), min_overlap=corr.min_overlap,
+                                 labels=list(corr.labels), spectrum=spectrum)
+    return SignVector(signs=s.copy(), objective=float(s @ psi @ s)), new_corr
 
 
-def deform_correlation(corr, noise_floor=1e-10):
+def deform_correlation(corr):
     """Make a correlation matrix positive definite by replacing every
-    eigenvalue at or below noise_floor * lambda_max with the smallest
-    eigenvalue above that threshold, then rescaling to unit diagonal."""
+    eigenvalue at or below 1e-10 * lambda_max (the noise floor) with the
+    smallest eigenvalue above it, then rescaling to unit diagonal."""
     w, v = corr.spectrum
-    thresh = noise_floor * w[-1]
-    keep = w > thresh
+    keep = w > 1e-10 * w[-1]
     if not keep.any():
         raise ValidationError("all eigenvalues lie below the noise floor")
     w_new = np.where(keep, w, w[keep].min())
-    recon = (v * w_new) @ v.T
-    d = np.sqrt(np.diag(recon))
-    psi_new = recon / np.outer(d, d)
-    psi_new = (psi_new + psi_new.T) / 2.0
-    np.fill_diagonal(psi_new, 1.0)
-    psi_new = np.clip(psi_new, -1.0, 1.0)
-    np.fill_diagonal(psi_new, 1.0)
-    return CorrelationMatrix(
-        psi=psi_new,
-        vols=corr.vols.copy(),
-        min_overlap=corr.min_overlap,
-        labels=list(corr.labels),
-    )
+    # the clip keeps the unit diagonal
+    psi_new = np.clip(unit_diagonal((v * w_new) @ v.T), -1.0, 1.0)
+    return CorrelationMatrix(psi_new, min_overlap=corr.min_overlap, labels=list(corr.labels))
 
 
 def load_correlation(path):
@@ -494,13 +465,17 @@ def load_correlation(path):
         psi = parsed[1]
     else:
         labels, psi = _scan_correlation(path)
-    n = len(labels)
     bad = np.argwhere(~np.isfinite(psi))
     if bad.size:
         r, c = bad[0]
         raise ValidationError(
             f"{path}: row {r + 2}, column {c + 2}: non-finite value {float(psi[r, c])}"
         )
+    bad = np.flatnonzero(np.abs(np.diag(psi) - 1.0) > 1e-12)
+    if bad.size:
+        k = bad[0]
+        raise ValidationError(f"{path}: row {k + 2}, column {k + 2}: diagonal value "
+                              f"{float(psi[k, k])!r} is not 1 (to 1e-12)")
     asym = np.abs(psi - psi.T)
     i, j = np.unravel_index(np.argmax(asym), asym.shape)
     if asym[i, j] > 1e-12:
@@ -509,10 +484,11 @@ def load_correlation(path):
             f"{float(psi[i, j])!r} but ({labels[j]}, {labels[i]}) is {float(psi[j, i])!r}"
         )
     del asym
-    # within the tolerance: make the matrix exactly symmetric
+    # within the tolerances: make the matrix exactly symmetric, with an
+    # exact unit diagonal
     psi = (psi + psi.T) / 2.0
     np.fill_diagonal(psi, 1.0)
-    return CorrelationMatrix(psi=psi, vols=np.ones(n), labels=labels)
+    return CorrelationMatrix(psi=psi, labels=labels)
 
 
 def _scan_correlation(path):

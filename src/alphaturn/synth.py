@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .factor_model import ClusterSpec, FactorModel, binary_loadings, optimal_allocation
-from .panel import AlphaPanel
+from .panel import AlphaPanel, unit_diagonal
 
 
 @dataclass
@@ -30,6 +30,8 @@ class SynthConfig:
     size_scheme: str = "equal"
 
     def __post_init__(self):
+        if self.seed < 0:  # PCG64 takes a nonnegative integer of any size
+            raise ValidationError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.n_clusters > self.n_alphas:
             raise ValidationError("need F <= N")
         if self.phi_range[0] <= 0 or self.phi_range[1] < self.phi_range[0]:
@@ -87,12 +89,7 @@ def gen_factor_correlation(seed, f, method="uniform", rho=0.0):
         rng = _rng(seed)
         basis, _ = np.linalg.qr(rng.standard_normal((f, f)))
         eigs = rng.uniform(0.2, 2.0, f)
-        mat = (basis * eigs) @ basis.T
-        d = np.sqrt(np.diag(mat))
-        mat = mat / np.outer(d, d)
-        mat = (mat + mat.T) / 2.0
-        np.fill_diagonal(mat, 1.0)
-        return mat
+        return unit_diagonal((basis * eigs) @ basis.T)
     raise ValidationError(f"unknown method {method!r}")
 
 
@@ -116,18 +113,19 @@ def gen_model(config):
     )
 
 
-def gen_panel(model, n_obs, seed, labels=None):
+def gen_panel(model, n_obs, seed):
     """Gaussian panel realizing the model covariance: per time step, factor
-    draws f ~ N(0, Phi) plus independent specific draws z_i ~ N(0, xi_i^2)."""
+    draws f ~ N(0, Phi) plus independent specific draws z_i ~ N(0, xi_i^2).
+    Alphas are labelled a1, a2, ... zero-padded to one width, and times t0,
+    t1, ... likewise."""
     if n_obs < 2:
         raise ValidationError("need at least 2 observations")
     rng = _rng(seed)
     f_draws = rng.standard_normal((n_obs, model.f)) @ model.phi_chol.T
     z = rng.standard_normal((n_obs, model.n)) * model.xi[None, :]
     values = z + f_draws @ model.omega.T
-    if labels is None:
-        width = len(str(model.n))
-        labels = [f"a{i + 1:0{width}d}" for i in range(model.n)]
+    width = len(str(model.n))
+    labels = [f"a{i + 1:0{width}d}" for i in range(model.n)]
     t_width = len(str(n_obs))
     times = [f"t{s:0{t_width}d}" for s in range(n_obs)]
     return AlphaPanel(labels=labels, times=times, values=values)

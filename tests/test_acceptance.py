@@ -17,9 +17,7 @@ import reference
 
 def make_corr(psi):
     psi = np.asarray(psi, dtype=float)
-    return pm.CorrelationMatrix(
-        psi=psi, vols=np.ones(psi.shape[0])
-    )
+    return pm.CorrelationMatrix(psi=psi)
 
 
 def uniform_corr(n, rho):

@@ -24,9 +24,7 @@ def write_corr(path, psi, labels=None):
     psi = np.asarray(psi, dtype=float).copy()
     psi = (psi + psi.T) / 2.0
     np.fill_diagonal(psi, 1.0)
-    corr = pm.CorrelationMatrix(
-        psi=psi, vols=np.ones(psi.shape[0]), labels=labels
-    )
+    corr = pm.CorrelationMatrix(psi=psi, labels=labels)
     pm.save_correlation(corr, path)
     return corr
 
@@ -594,6 +592,71 @@ class TestModel:
         monkeypatch.setattr(cli.fm, "secular_roots", boom)
         assert run(["model", str(path), "--op", "rho-curve"]) == 3
 
+    def _exit_2(self, tmp_path, capsys, doc):
+        """stderr of a model document that must exit 2 without a warning."""
+        path = self._write_model(tmp_path, doc)
+        with warnings.catch_warnings():
+            # a warning would reach stderr outside pytest
+            warnings.simplefilter("error")
+            assert run(["model", str(path), "--op", "eigen"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        return err
+
+    @pytest.mark.parametrize("doc, message", [
+        # xi = 0: the Gram reduction, whose row norm overflows
+        ({"mode": "dense", "omega": [[1e200], [1]], "phi": [1]},
+         "alpha 0 has non-finite (overflowing) total variance"),
+        ({"mode": "dense", "omega": [[1e160], [1e160]], "phi": [1]},
+         "alpha 0 has non-finite (overflowing) total variance"),
+        # xi != 0: the dense path, whose assembled covariance overflows
+        ({"mode": "dense", "omega": [[1], [1e200]], "phi": [1], "xi": [1, 1]},
+         "alpha 1 has non-finite (overflowing) total variance"),
+        ({"mode": "binary", "assignment": [1, 2, 2], "phi": [1, 1], "xi": [1, 1e200, 1]},
+         "alpha 1 has non-finite (overflowing) total variance"),
+        # the binary closed form
+        ({"mode": "binary", "sizes": [2, 2], "phi": [1, 1], "xi": [1, 1, 1e200, 1e200]},
+         "cluster 2: xi^2 + N_A phi overflows"),
+    ], ids=["gram-one", "gram-both", "dense", "binary-dense", "binary-closed-form"])
+    def test_overflowing_variance_exit_2(self, tmp_path, capsys, doc, message):
+        assert self._exit_2(tmp_path, capsys, doc) == f"error: {message}\n"
+
+    @pytest.mark.parametrize("key", ["sizes", "assignment"])
+    def test_count_beyond_int64_exit_2(self, tmp_path, capsys, key):
+        err = self._exit_2(tmp_path, capsys, {"mode": "binary", key: [1e20], "phi": [1]})
+        assert err == (f"error: model schema violation at /{key}/0: 1e+20 is greater than "
+                       "the maximum of 9223372036854775807\n")
+
+    def test_sizes_disagreeing_with_assignment_exit_2(self, tmp_path, capsys):
+        doc = {"mode": "binary", "sizes": [2, 3], "assignment": [1, 1, 1, 2, 2],
+               "phi": [1, 1]}
+        assert self._exit_2(tmp_path, capsys, doc) == (
+            "error: /sizes does not match /assignment's counts [3, 2]\n")
+
+    # the first has xi uniform within each cluster (the closed form), the
+    # second not (the dense path); both are rejected before either
+    @pytest.mark.parametrize("xi", [[0.1, 0.1, 0.2], [0.1, 0.2, 0.2]])
+    def test_empty_cluster_exit_2(self, tmp_path, capsys, xi):
+        doc = {"mode": "binary", "assignment": [1, 1, 3], "phi": [1, 1, 1], "xi": xi}
+        assert self._exit_2(tmp_path, capsys, doc) == (
+            "error: cluster sizes must be positive: cluster 2 has no alpha\n")
+
+    def test_nearly_symmetric_phi_takes_nondiagonal_closed_form(self, tmp_path):
+        # Phi is symmetric to 5e-13, within FactorModel's 1e-12; its factor
+        # correlation, scaled by 1 / (d_i d_j) = 1e8, must be symmetrised
+        doc = {"mode": "binary", "sizes": [2, 3],
+               "phi": [[1e-4, 1e-5], [1.00000005e-5, 1e-4]]}
+        path = self._write_model(tmp_path, doc)
+        out = tmp_path / "eig.json"
+        assert run(["model", str(path), "--op", "eigen", "--out", str(out)]) == 0
+        got = json.loads(out.read_text())
+        assert got["method"] == "closed-form-nondiagonal"
+        values = np.sort([v["value"] for v in got["values"] for _ in range(v["mult"])])
+        w, v = np.linalg.eigh(fm.build_covariance(fm.FactorModel.from_doc(doc))[1].psi)
+        np.testing.assert_allclose(values, w, rtol=0, atol=1e-12)
+        assert got["rho_star"] == pytest.approx(w[-1] * abs(v[:, -1].sum()) / 5**1.5,
+                                                rel=1e-12, abs=0)
+
 
 class TestSynth:
     def test_byte_identical_reruns(self, tmp_path):
@@ -633,6 +696,15 @@ class TestSynth:
                       "--model-out", str(tmp_path / "m.json"))
         assert proc.returncode == 2
         assert "'equal' size scheme or fewer clusters" in proc.stderr
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        assert run(
+            ["synth", "--seed", "-1", "--n", "4", "--clusters", "2",
+             "--panel-out", str(tmp_path / "p.csv"),
+             "--model-out", str(tmp_path / "m.json")]
+        ) == 2
+        assert capsys.readouterr().err == "error: seed must be a nonnegative integer, got -1\n"
         assert not (tmp_path / "p.csv").exists()
 
     def test_bad_factor_rho_exit_2(self, tmp_path):
@@ -820,6 +892,11 @@ MALFORMED = {
     "corr-bad-cell-after-nan": (",a,b\na,1,nan\nb,0.5 0,1\n", ["--corr"],
                                 "{path}: row 3, column 2: cannot parse '0.5 0'"),
     "corr-header-only": (",a,b\n", ["--corr"], "{path}: expected at least a 2x2 matrix"),
+    "corr-bad-diagonal": (",a,b,c\na,0.5,0.1,0.2\nb,0.1,7,0.3\nc,0.2,0.3,-3\n", ["--corr"],
+                          "{path}: row 2, column 2: diagonal value 0.5 is not 1 (to 1e-12)"),
+    "corr-bad-diagonal-quoted-label": (',a,b\n"a",1,0.5\nb,0.5,1.5\n', ["--corr"],
+                                       "{path}: row 3, column 3: diagonal value 1.5 is not 1 "
+                                       "(to 1e-12)"),
 }
 
 

@@ -13,9 +13,7 @@ def make_corr(psi):
     psi = np.asarray(psi, dtype=float).copy()
     psi = (psi + psi.T) / 2.0
     np.fill_diagonal(psi, 1.0)
-    return pm.CorrelationMatrix(
-        psi=psi, vols=np.ones(psi.shape[0])
-    )
+    return pm.CorrelationMatrix(psi=psi)
 
 
 def uniform_corr(n, rho):

@@ -22,7 +22,7 @@ from test_properties import (cancelling_model, near_tied_model, tied_top_distinc
 
 def fresh(psi):
     """A correlation matrix with nothing computed yet."""
-    return pm.CorrelationMatrix(psi=psi, vols=np.ones(psi.shape[0]))
+    return pm.CorrelationMatrix(psi=psi)
 
 
 def random_corr(n, seed):
@@ -56,7 +56,7 @@ def cluster_corr_csv(path, n, m=60, clusters=6, seed=3):
     psi = np.corrcoef(values.T)
     psi = (psi + psi.T) / 2.0
     np.fill_diagonal(psi, 1.0)
-    pm.save_correlation(pm.CorrelationMatrix(psi=psi, vols=np.ones(n)), path)
+    pm.save_correlation(pm.CorrelationMatrix(psi=psi), path)
 
 
 def dense_top(psi):
@@ -346,7 +346,7 @@ class TestDecompositionBudget:
         _, corr = fm.build_covariance(model)
         psi = corr.psi.copy()
         psi[0, 1] = psi[1, 0] = np.nextafter(psi[0, 1], 1.0)
-        nudged = pm.CorrelationMatrix(psi, corr.vols)
+        nudged = pm.CorrelationMatrix(psi)
         assert fm.deflated_eigenvalues(model, corr) is not None
         assert fm.deflated_eigenvalues(model, nudged) is None
         fm.dense_rho_star(model, nudged)

@@ -10,14 +10,11 @@ from alphaturn import panel as pm
 from alphaturn.errors import ValidationError
 
 
-def make_corr(psi, vols=None):
+def make_corr(psi):
     psi = np.asarray(psi, dtype=float).copy()
     psi = (psi + psi.T) / 2.0
     np.fill_diagonal(psi, 1.0)
-    n = psi.shape[0]
-    return pm.CorrelationMatrix(
-        psi=psi, vols=np.ones(n) if vols is None else vols
-    )
+    return pm.CorrelationMatrix(psi=psi)
 
 
 class TestCorrelationMatrix:
@@ -28,11 +25,12 @@ class TestCorrelationMatrix:
     ], ids=["nan", "inf"])
     def test_rejects_non_finite_entry(self, psi, where):
         with pytest.raises(ValidationError, match=re.escape(f"entry {where} is not finite")):
-            pm.CorrelationMatrix(psi, np.ones(3))
+            pm.CorrelationMatrix(psi)
 
-    def test_rejects_non_finite_vol(self):
-        with pytest.raises(ValidationError, match=r"volatility \[0\] must be positive and finite"):
-            pm.CorrelationMatrix(np.eye(2), [float("nan"), 1.0])
+    def test_only_psi_is_positional(self):
+        # a second positional argument would otherwise land in min_overlap
+        with pytest.raises(TypeError):
+            pm.CorrelationMatrix(np.eye(2), np.ones(2))
 
 
 class TestLoadPanel:
@@ -150,6 +148,22 @@ class TestLoadCorrelation:
         with pytest.raises(ValidationError, match=r"not symmetric: \(a, b\) is 0.9 but \(b, a\) is -0.5"):
             pm.load_correlation(p)
 
+    # a quoted label sends the file to the cell-by-cell reader
+    @pytest.mark.parametrize("label", ["a", '"a"'], ids=["loadtxt", "csv-reader"])
+    def test_diagonal_off_one_names_row_and_column(self, tmp_path, label):
+        p = tmp_path / "corr.csv"
+        p.write_text(f",a,b,c\n{label},1,0.1,0.2\nb,0.1,7,0.3\nc,0.2,0.3,-3\n")
+        with pytest.raises(ValidationError,
+                           match=r"corr.csv: row 3, column 3: diagonal value 7.0 is not 1"):
+            pm.load_correlation(p)
+
+    @pytest.mark.parametrize("label", ["a", '"a"'], ids=["loadtxt", "csv-reader"])
+    def test_diagonal_within_tolerance_is_set_to_one(self, tmp_path, label):
+        p = tmp_path / "corr.csv"
+        p.write_text(f",a,b\n{label},1.0000000000005,0.3\nb,0.3,0.9999999999995\n")
+        corr = pm.load_correlation(p)
+        np.testing.assert_array_equal(corr.psi, [[1.0, 0.3], [0.3, 1.0]])
+
     def test_asymmetry_within_tolerance_is_averaged(self, tmp_path):
         p = tmp_path / "corr.csv"
         _write_corr_text(p, ["a", "b"], [["1", "0.3"], ["0.3000000000000005", "1"]])
@@ -227,7 +241,6 @@ class TestPairwiseCorrelation:
         )
         corr = pm.pairwise_correlation(panel, min_overlap=2)
         assert np.allclose(corr.psi, np.corrcoef(vals.T), atol=1e-12)
-        assert np.allclose(corr.vols, vals.std(axis=0, ddof=1), atol=1e-12)
 
 
 class TestRegressOut:

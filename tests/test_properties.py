@@ -62,7 +62,7 @@ def correlations(draw):
     psi = np.eye(n)
     psi[upper] = draw(hnp.arrays(float, len(upper[0]), elements=unit))
     psi.T[upper] = psi[upper]
-    return pm.CorrelationMatrix(psi=psi, vols=np.ones(n))
+    return pm.CorrelationMatrix(psi=psi)
 
 
 @given(panel=panels())
@@ -148,6 +148,10 @@ def csv_reader_load_correlation(path):
         raise ValidationError(
             f"{path}: row {r + 2}, column {c + 2}: non-finite value {float(psi[r, c])}"
         )
+    for k in range(n):
+        if abs(psi[k, k] - 1.0) > 1e-12:
+            raise ValidationError(f"{path}: row {k + 2}, column {k + 2}: diagonal value "
+                                  f"{float(psi[k, k])!r} is not 1 (to 1e-12)")
     asym = np.abs(psi - psi.T)
     i, j = np.unravel_index(np.argmax(asym), asym.shape)
     if asym[i, j] > 1e-12:
@@ -157,7 +161,7 @@ def csv_reader_load_correlation(path):
         )
     psi = (psi + psi.T) / 2.0
     np.fill_diagonal(psi, 1.0)
-    return pm.CorrelationMatrix(psi=psi, vols=np.ones(n), labels=labels)
+    return pm.CorrelationMatrix(psi=psi, labels=labels)
 
 
 def outcome(load, *args):
@@ -231,11 +235,14 @@ def panel_texts(draw, odd):
 @st.composite
 def correlation_texts(draw, odd):
     """Text of a symmetric 2-5 x 2-5 correlation CSV, perhaps with one
-    off-diagonal cell of any finite value; on request, also cells of
-    arbitrary text."""
+    off-diagonal cell of any finite value and one diagonal cell near 1 or
+    of any finite value; on request, also cells of arbitrary text."""
     psi = draw(correlations()).psi
     if draw(st.booleans()):
         psi[0, -1] = draw(finite)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(psi) - 1))
+        psi[k, k] = draw(st.sampled_from([1 + 5e-13, 1 - 5e-13, 1 + 2e-12]) | finite)
     rare = draw(st.integers(0, 4)) == 0
     labels = [f"c{j}" for j in range(len(psi))]
     lines = [["", *labels]]
@@ -345,7 +352,7 @@ def test_canonicalize_signs_keeps_psi1_and_rho_star(psi, cached):
     spectrum is carried over from Psi or computed afresh; and a second
     canonicalization flips nothing."""
     psi1 = np.linalg.eigvalsh(psi)[-1]
-    corr = pm.CorrelationMatrix(psi=psi, vols=np.ones(len(psi)))
+    corr = pm.CorrelationMatrix(psi=psi)
     if cached:
         corr.spectrum
     _, canon = pm.canonicalize_signs(corr)
@@ -353,7 +360,7 @@ def test_canonicalize_signs_keeps_psi1_and_rho_star(psi, cached):
     summary = sp.spectral_summary(canon)
     assert summary.psi1 == pytest.approx(psi1, rel=1e-12)
 
-    fresh = pm.CorrelationMatrix(psi=canon.psi, vols=canon.vols)
+    fresh = pm.CorrelationMatrix(psi=canon.psi)
     fresh_summary = sp.spectral_summary(pm.canonicalize_signs(fresh)[1])
     assert fresh_summary.psi1 == pytest.approx(summary.psi1, rel=1e-12)
     assert fresh_summary.rho_star == pytest.approx(summary.rho_star, rel=1e-10, abs=1e-14)
@@ -403,7 +410,7 @@ def top_pair_correlations(draw):
 def test_top_pair_without_spectrum_matches_eigh(psi):
     """From the eigenvalues alone (power iteration, or the spectrum where
     that declines), top_pair gives eigh's top pair under the tie rule."""
-    psi1, v1 = pm.CorrelationMatrix(psi=psi, vols=np.ones(len(psi))).top_pair()
+    psi1, v1 = pm.CorrelationMatrix(psi=psi).top_pair()
     want1, want_v = eigen.top_eigenvector(*np.linalg.eigh(psi))
     assert psi1 == pytest.approx(want1, rel=1e-12)
     if abs(want_v.sum()) < 1e-8:
@@ -417,9 +424,9 @@ def test_packed_sweep_matches_square_downdate(psi, data):
     """Downdating the packed upper triangle gives, bit for bit, what
     downdating the N x N matrix gives, skipped steps included."""
     k_max = data.draw(st.integers(1, len(psi) - 1))
-    got = cl.residual_correlation_sweep(pm.CorrelationMatrix(psi, np.ones(len(psi))), k_max)
+    got = cl.residual_correlation_sweep(pm.CorrelationMatrix(psi), k_max)
     want = reference.residual_correlation_sweep(
-        pm.CorrelationMatrix(psi.copy(), np.ones(len(psi))), k_max)
+        pm.CorrelationMatrix(psi.copy()), k_max)
     assert (got.ks, got.skipped, got.rank_used) == (want.ks, want.skipped, want.rank_used)
     assert_same_bits(np.array(got.zeta1), np.array(want.zeta1))
     assert_same_bits(np.array(got.zeta2), np.array(want.zeta2))

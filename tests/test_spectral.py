@@ -12,9 +12,7 @@ def make_corr(psi):
     if np.max(np.abs(psi - psi.T)) <= 1e-12:
         psi = (psi + psi.T) / 2.0
         np.fill_diagonal(psi, 1.0)
-    return pm.CorrelationMatrix(
-        psi=psi, vols=np.ones(psi.shape[0])
-    )
+    return pm.CorrelationMatrix(psi=psi)
 
 
 def uniform_corr(n, rho):

@@ -96,7 +96,7 @@ def inputs(tmp_path_factory):
     psi = np.corrcoef(np.random.default_rng(4).standard_normal((12, 40)).T)
     psi = (psi + psi.T) / 2.0
     np.fill_diagonal(psi, 1.0)
-    pm.save_correlation(pm.CorrelationMatrix(psi=psi, vols=np.ones(40)), d / "corr.csv")
+    pm.save_correlation(pm.CorrelationMatrix(psi=psi), d / "corr.csv")
 
     omega = [[1.0, 0.2], [0.8, 0.1], [0.1, 1.0], [0.2, 0.9]]
     models = {
