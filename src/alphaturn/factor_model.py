@@ -5,8 +5,9 @@ covariance via the reduced F x F problem, non-binary loadings via the
 Gram-matrix reduction, the uniform-correlation secular equation, and the
 demeaned-loadings bound on the top eigenvalue. Any other model takes the
 dense path: the eigenvalues of its assembled correlation matrix, from a
-G x G problem where its alphas fall into G < N groups of repeated rows,
-and the top eigenvector by power iteration on those eigenvalues.
+G x G block gathered from Phi where a binary model's alphas fall into
+G < N groups of repeated rows, and the top eigenvector by power iteration
+on those eigenvalues.
 """
 
 from __future__ import annotations
@@ -223,7 +224,11 @@ def _binary_doc_loadings(doc, f):
     if "assignment" in doc or sizes is None:
         assignment = doc["assignment"]
     else:
-        assignment = np.repeat(np.arange(1, len(sizes) + 1), np.asarray(sizes, dtype=int))
+        try:
+            assignment = np.repeat(np.arange(1, len(sizes) + 1), np.asarray(sizes, dtype=int))
+        except (MemoryError, ValueError):  # ValueError: N overflows int64
+            raise ValidationError(
+                f"/sizes: N={sum(map(int, sizes))} alphas do not fit in memory") from None
     omega = binary_loadings(assignment, f)
     counts = np.count_nonzero(omega, axis=0)
     if "assignment" in doc and sizes is not None and counts.tolist() != sizes:
@@ -301,13 +306,11 @@ def _float_array(doc, key):
 @dataclass
 class EigenStructure:
     """Eigenvalues with multiplicities plus the implied turnover-reduction
-    coefficient; reduced_vectors holds the F x F eigenvector matrix when a
-    reduction applies."""
+    coefficient."""
 
     values: list
     rho_star: float
     top_cluster: int
-    reduced_vectors: np.ndarray = field(default=None)
 
     def eigenvalues(self):
         """Flat descending eigenvalue array, multiplicities expanded."""
@@ -448,37 +451,25 @@ def reduce_nondiagonal(sizes, factor_corr):
         raise ValidationError("factor correlation must be positive definite")
     if abs(w.sum() - n) > 1e-9 * max(n, 1):
         raise NumericalError("reduced eigenvalues do not sum to N")
-    return _reduced_structure(w, chi, n, lambda k: np.dot(q, chi[:, k]))
+    return _reduced_structure(w, n, lambda k: np.dot(q, chi[:, k]))
 
 
-def _reduced_structure(w, vecs, n, lifted_sum):
+def _reduced_structure(w, n, lifted_sum):
     """EigenStructure of an N x N correlation matrix of rank F from the
-    ascending eigenpairs (w, vecs) of its reduced F x F problem;
-    lifted_sum(k) is the component sum of the unit N-space eigenvector
-    lifted from pair k."""
+    ascending eigenvalues w of its reduced F x F problem; lifted_sum(k) is
+    the component sum of the unit N-space eigenvector lifted from pair k."""
     f = len(w)
     top = int(np.argmax(w))
     rho = float(w[top] * abs(lifted_sum(top)) / n**1.5)
     values = [(float(x), 1) for x in w[::-1]]
     if n > f:
         values.append((0.0, n - f))
-    # order reduced vectors to match descending eigenvalues
     order = np.argsort(w)[::-1]
     return EigenStructure(
         values=values,
         rho_star=rho,
         top_cluster=int(np.where(order == top)[0][0]) + 1,
-        reduced_vectors=vecs[:, order],
     )
-
-
-def embed_reduced_vectors(sizes, chi):
-    """Lift reduced eigenvectors chi (F x K) to N-space:
-    V_i = chi[G(i)] / sqrt(N_G(i))."""
-    sizes = np.asarray(sizes, dtype=int)
-    assignment = np.repeat(np.arange(len(sizes)), sizes)
-    scale = 1.0 / np.sqrt(sizes.astype(float))
-    return chi[assignment] * scale[assignment][:, None]
 
 
 def _loadings_gram(model):
@@ -507,48 +498,42 @@ def reduce_nonbinary(model):
     via the F x F Gram matrix of the normalized loadings."""
     lam, w, vecs = _loadings_gram(model)
     return _reduced_structure(
-        w, vecs, model.n, lambda k: (lam @ vecs[:, k] / math.sqrt(w[k])).sum()
+        w, model.n, lambda k: (lam @ vecs[:, k] / math.sqrt(w[k])).sum()
     )
 
 
-def nonbinary_eigenvectors(model):
-    """Full N x F orthonormal eigenvector matrix for the zero-specific-risk
-    non-binary model, columns ordered by descending eigenvalue."""
-    lam, w, vecs = _loadings_gram(model)
-    order = np.argsort(w)[::-1]
-    return lam @ vecs[:, order] / np.sqrt(w[order])[None, :]
+def deflated_eigenvalues(model):
+    """Ascending eigenvalues of a binary model's correlation matrix from a
+    G x G problem, where its N alphas form G < N groups of repeated rows;
+    None for a dense-mode model or where G = N.
 
-
-def deflated_eigenvalues(model, corr):
-    """Ascending eigenvalues of `corr`, the model's correlation matrix, from
-    a G x G problem where its N alphas form G < N groups of repeated rows;
-    None where G = N or psi does not repeat them.
-
-    Alphas with byte-identical (xi_i, Omega_i) rows, -0.0 taken as 0.0, are
-    the candidate groups. They are kept only where psi itself repeats them:
-    every off-diagonal entry between groups g and h (or within g) equals
-    M_gh, its entry between the first alpha of g and the last of h. Then
+    Alphas with byte-identical (xi_i, Omega_i) rows, -0.0 taken as 0.0,
+    form the groups. For groups g and h in clusters a and b, psi's entries
+    between them are M_gh = Phi_ab / (s_g s_h) with s_g^2 = xi_g^2 + Phi_aa,
+    averaged with the transpose: the operations build_covariance applies to
+    one-hot loadings, so M holds psi's entries bit for bit. Then
     psi = E M E^T + diag(1 - M_gg) with E the group indicators, so a group
     of c_g alphas holds c_g - 1 eigenvectors that sum to zero over it, each
     with eigenvalue 1 - M_gg, and the other G eigenvalues are those of
     sqrt(c c^T) * M + diag(1 - M_gg), psi on the normalised indicators (the
-    deflation of Bunch, Nielsen and Sorensen 1978). These are eigenvalues of
-    psi as assembled, not of a factored form of it."""
+    deflation of Bunch, Nielsen and Sorensen 1978)."""
+    if model.mode != "binary":
+        return None
     rows = np.column_stack([model.xi, model.omega]) + 0.0
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
-    _, first, inv, counts = np.unique(keys, return_index=True, return_inverse=True,
-                                      return_counts=True)
-    if len(first) == corr.n:
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    if len(first) == model.n:
         return None
-    last = np.argsort(inv, kind="stable")[np.cumsum(counts) - 1]
-    m = corr.psi[np.ix_(first, last)]
-    repeated = m.take(inv, axis=0).take(inv, axis=1)
-    np.fill_diagonal(repeated, 1.0)
-    if not np.array_equal(repeated, corr.psi):
-        return None
+    cluster = np.argmax(model.omega[first], axis=1)
+    # + 0.0 as in build_covariance, whose diag(xi^2) + ... turns -0.0 into 0.0
+    phi = model.phi_cov[np.ix_(cluster, cluster)] + 0.0
+    s = np.sqrt(model.xi[first] ** 2 + np.diag(phi))
+    m = phi / np.outer(s, s)
+    m = (m + m.T) / 2.0
     d = 1.0 - np.diag(m)
     root = np.sqrt(counts)
     block = root[:, None] * m * root[None, :]
+    # for a lone alpha this is M_gg + (1 - M_gg), which rounds to exactly 1
     block[np.diag_indices_from(block)] = counts * np.diag(m) + d
     return np.sort(np.concatenate([np.linalg.eigvalsh(block), np.repeat(d, counts - 1)]))
 
@@ -556,13 +541,14 @@ def deflated_eigenvalues(model, corr):
 def dense_rho_star(model, corr=None):
     """Dense path: the spectral summary of the model's correlation matrix
     `corr` (assembled when not given). Its eigenvalues come from
-    deflated_eigenvalues where alphas repeat, and are set on corr; otherwise
-    corr.eigenvalues takes them from np.linalg.eigvalsh. The top pair comes
-    from corr.top_pair(), so from power iteration on the same eigenvalues,
-    or else from the full eigendecomposition and its tie rule."""
+    deflated_eigenvalues where a binary model's alphas repeat, and are set
+    on corr; otherwise corr.eigenvalues takes them from np.linalg.eigvalsh.
+    The top pair comes from corr.top_pair(), so from power iteration on the
+    same eigenvalues, or else from the full eigendecomposition and its tie
+    rule."""
     if corr is None:
         _, corr = build_covariance(model)
-    w = deflated_eigenvalues(model, corr)
+    w = deflated_eigenvalues(model)
     if w is not None:
         corr.eigenvalues = w
     return spectral_mod.spectral_summary(corr)
@@ -662,14 +648,6 @@ def secular_roots(sizes, rho):
     if abs(roots.sum() - n) > 1e-9 * max(n, 1.0):
         raise NumericalError("secular roots do not sum to N")
     return roots
-
-
-def secular_eigenvector(sizes, rho, psi):
-    """Reduced eigenvector (components chi_C) for a simple secular root,
-    normalized to unit length."""
-    sizes = np.asarray(sizes, dtype=float)
-    comp = np.sqrt(sizes) / (psi - (1.0 - rho) * sizes)
-    return comp / np.linalg.norm(comp)
 
 
 @dataclass

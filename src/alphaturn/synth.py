@@ -9,6 +9,7 @@ generator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,12 +33,16 @@ class SynthConfig:
     def __post_init__(self):
         if self.seed < 0:  # PCG64 takes a nonnegative integer of any size
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed}")
-        if self.n_clusters > self.n_alphas:
-            raise ValidationError("need F <= N")
-        if self.phi_range[0] <= 0 or self.phi_range[1] < self.phi_range[0]:
-            raise ValidationError("phi_range must be positive and ordered")
-        if self.xi_range[0] < 0 or self.xi_range[1] < self.xi_range[0]:
-            raise ValidationError("xi_range must be nonnegative and ordered")
+        if not 1 <= self.n_clusters <= self.n_alphas:
+            raise ValidationError(f"n_clusters must lie in 1..n_alphas, got n_clusters="
+                                  f"{self.n_clusters}, n_alphas={self.n_alphas}")
+        # chained comparisons, so that NaN fails them too
+        if not 0 < self.phi_range[0] <= self.phi_range[1] < math.inf:
+            raise ValidationError(f"phi_range must be finite, positive and ordered, "
+                                  f"got {list(self.phi_range)}")
+        if not 0 <= self.xi_range[0] <= self.xi_range[1] < math.inf:
+            raise ValidationError(f"xi_range must be finite, nonnegative and ordered, "
+                                  f"got {list(self.xi_range)}")
         if self.size_scheme not in ("equal", "random_multinomial"):
             raise ValidationError(f"unknown size_scheme {self.size_scheme!r}")
 

@@ -69,3 +69,57 @@ def through_origin_fstat(y, x):
     if rss <= 0:
         return float("inf")
     return (ess / p) / (rss / (n - p))
+
+
+def nonbinary_eigenvectors(model):
+    """Full N x F orthonormal eigenvector matrix of a zero-specific-risk
+    model with arbitrary loadings, columns ordered by descending eigenvalue:
+    lam v / sqrt(w) for the eigenpairs (w, v) of the Gram matrix lam^T lam
+    of the row-normalized loadings lam = Omega L / |Omega L|."""
+    omega_t = model.omega @ np.linalg.cholesky(model.phi_cov)
+    lam = omega_t / np.linalg.norm(omega_t, axis=1)[:, None]
+    w, vecs = np.linalg.eigh(lam.T @ lam)
+    order = np.argsort(w)[::-1]
+    return lam @ vecs[:, order] / np.sqrt(w[order])[None, :]
+
+
+def secular_eigenvector(sizes, rho, psi):
+    """Reduced eigenvector (components chi_C) for a simple secular root,
+    normalized to unit length."""
+    sizes = np.asarray(sizes, dtype=float)
+    comp = np.sqrt(sizes) / (psi - (1.0 - rho) * sizes)
+    return comp / np.linalg.norm(comp)
+
+
+def deflated_eigenvalues(model, corr):
+    """Ascending eigenvalues of `corr`, the model's correlation matrix, from
+    a G x G problem where its N alphas form G < N groups of repeated rows;
+    None where G = N or psi does not repeat them.
+
+    Alphas with byte-identical (xi_i, Omega_i) rows, -0.0 taken as 0.0, are
+    the candidate groups. They are kept only where psi itself repeats them:
+    every off-diagonal entry between groups g and h (or within g) equals
+    M_gh, its entry between the first alpha of g and the last of h. Then
+    psi = E M E^T + diag(1 - M_gg) with E the group indicators, so a group
+    of c_g alphas holds c_g - 1 eigenvectors that sum to zero over it, each
+    with eigenvalue 1 - M_gg, and the other G eigenvalues are those of
+    sqrt(c c^T) * M + diag(1 - M_gg), psi on the normalised indicators (the
+    deflation of Bunch, Nielsen and Sorensen 1978). These are eigenvalues of
+    psi as assembled, not of a factored form of it."""
+    rows = np.column_stack([model.xi, model.omega]) + 0.0
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+    _, first, inv, counts = np.unique(keys, return_index=True, return_inverse=True,
+                                      return_counts=True)
+    if len(first) == corr.n:
+        return None
+    last = np.argsort(inv, kind="stable")[np.cumsum(counts) - 1]
+    m = corr.psi[np.ix_(first, last)]
+    repeated = m.take(inv, axis=0).take(inv, axis=1)
+    np.fill_diagonal(repeated, 1.0)
+    if not np.array_equal(repeated, corr.psi):
+        return None
+    d = 1.0 - np.diag(m)
+    root = np.sqrt(counts)
+    block = root[:, None] * m * root[None, :]
+    block[np.diag_indices_from(block)] = counts * np.diag(m) + d
+    return np.sort(np.concatenate([np.linalg.eigvalsh(block), np.repeat(d, counts - 1)]))

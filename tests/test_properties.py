@@ -4,8 +4,9 @@ writes, secular_roots sum to N, interlace their poles and match a 60-digit
 root, sign canonicalization keeps psi1 and rho_star, with or without a
 cached spectrum, the top pair from the eigenvalues alone is eigh's, the
 packed residual sweep is the N x N one bit for bit, the dense model path
-gives what eigh of the assembled matrix gives, with repeated alphas
-deflated too, the model-document check
+gives what eigh of the assembled matrix gives, with a binary model's
+repeated alphas deflated too, a deflated block gathered from Phi gives
+what one read from the assembled matrix gives, the model-document check
 reports what jsonschema reports, _cluster_xi gives what a per-cluster loop
 gives, the F-test's cluster-mean F-statistics give what one least-squares
 fit per time step gives, and the np.loadtxt panel and correlation loaders
@@ -653,11 +654,12 @@ def repeated_alpha_models(draw):
 @given(model=repeated_alpha_models())
 @example(model=tied_top_model())
 def test_deflated_dense_path_matches_eigh(model):
-    """Eigenvalues deflated to one per group of repeated alphas, plus each
-    group's repeated within-group value, agree with eigh of the assembled matrix, and so does
-    rho_star, at a tied top too."""
+    """Eigenvalues deflated to one per group of a binary model's repeated
+    alphas, plus each group's repeated within-group value, agree with eigh
+    of the assembled matrix, and so does rho_star, at a tied top too; dense
+    loadings with repeated rows are not deflated and agree as well."""
     _, corr = fm.build_covariance(model)
-    assert fm.deflated_eigenvalues(model, corr) is not None
+    assert (fm.deflated_eigenvalues(model) is not None) == (model.mode == "binary")
     structure, method = fm.model_eigenstructure(model)
     assert method == "dense"
     want = sp.spectral_summary(corr)
@@ -666,6 +668,54 @@ def test_deflated_dense_path_matches_eigh(model):
                                atol=1e-12 * max(w[-1], 1.0))
     assert structure.rho_star == pytest.approx(want.rho_star, rel=1e-12, abs=0)
     assert fm.dense_rho_star(model).rho_star == structure.rho_star
+
+
+@st.composite
+def binary_models(draw):
+    """Binary models with xi per cluster (G < N groups of repeated alphas) or
+    per alpha (G = N, mostly), some of it -0.0; a Phi with -0.0 or 0.0
+    off-diagonal entries on either side and asymmetric within 1e-12; and
+    tied tops: equal clusters with equal phi and xi."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        counts = np.full(f, draw(st.integers(1, 4)))
+        phi = np.eye(f) * rng.uniform(0.5, 2.0)
+        xi = np.full(f, rng.choice([0.0, -0.0, rng.uniform(0.1, 3.0)]))
+    else:
+        counts = rng.integers(1, 6, f)
+        # diagonally dominant, so positive definite
+        phi = np.triu(rng.uniform(-1.0, 1.0, (f, f)) * (rng.random((f, f)) < 0.7), 1)
+        phi = phi + phi.T + np.diag(rng.uniform(f, 2.0 * f, f))
+        xi = rng.choice([0.0, -0.0, rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0 * f)], f)
+    phi += np.triu(rng.uniform(-5e-13, 5e-13, (f, f)) * (phi != 0.0), 1)
+    phi[(phi == 0.0) & (rng.random((f, f)) < 0.5)] = -0.0
+    assignment = rng.permutation(np.repeat(np.arange(1, f + 1), counts))
+    xi = xi[assignment - 1]
+    if draw(st.booleans()):
+        xi = np.where(rng.random(len(xi)) < 0.5, rng.uniform(0.0, 3.0, len(xi)), xi)
+    return fm.FactorModel(omega=fm.binary_loadings(assignment, f), phi_cov=phi, xi=xi,
+                          mode="binary")
+
+
+@settings(deadline=None)
+@given(model=binary_models())
+def test_deflation_from_phi_matches_deflation_from_psi(model):
+    """A binary model's G x G block gathered from Phi gives, bit for bit,
+    the eigenvalues that the block read from the assembled matrix (and
+    checked against it) gives, and neither deflates where the other does
+    not."""
+    got = fm.deflated_eigenvalues(model)
+    want = reference.deflated_eigenvalues(model, fm.build_covariance(model)[1])
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert np.array_equal(got, want)
+
+
+def test_dense_loadings_not_deflated():
+    model = tied_top_model()
+    assert reference.deflated_eigenvalues(model, fm.build_covariance(model)[1]) is not None
+    assert fm.deflated_eigenvalues(model) is None
 
 
 def loop_cluster_xi(model):
