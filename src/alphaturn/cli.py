@@ -61,18 +61,9 @@ def cmd_analyze(args):
     if not args.raw_basis:
         sign_vec, corr = panel_mod.canonicalize_signs(corr)
         signs = sign_vec.signs.tolist()
-    summary = spectral_mod.spectral_summary(corr)
-    bound = clusters_mod.lower_bound_F(corr)
-    doc = {
-        "psi1": summary.psi1,
-        "rho_star": summary.rho_star,
-        "rho_prime": summary.rho_prime,
-        "gamma": summary.gamma,
-        "mean_corr": summary.mean_corr,
-        "v1": summary.v1.tolist(),
-        "cluster_lower_bound": bound.lower_bound,
-        "deformed": deformed,
-    }
+    doc = {**spectral_mod.spectral_summary(corr).to_dict(),
+           "cluster_lower_bound": clusters_mod.lower_bound_F(corr).lower_bound,
+           "deformed": deformed}
     if signs is not None:
         doc["signs"] = signs
     _emit(json.dumps(doc, indent=2), args.out)
@@ -103,9 +94,7 @@ def cmd_model(args):
     model = fm.FactorModel.from_doc(_read_json_object(args.input, "model"))
     if args.op == "eigen":
         structure, method = model_eigenstructure(model)
-        doc = json.loads(structure.to_json())
-        doc["method"] = method
-        _emit(json.dumps(doc), args.out)
+        _emit(json.dumps({**structure.to_dict(), "method": method}), args.out)
     elif args.op == "rho-star":
         structure, method = model_eigenstructure(model)
         _emit(json.dumps({"rho_star": structure.rho_star, "method": method}), args.out)

@@ -102,11 +102,6 @@ class ClusterSpec:
     def f(self):
         return len(self.sizes)
 
-    @property
-    def zeta(self):
-        """Specific-to-factor variance ratios xi^2 / phi per cluster."""
-        return self.xi**2 / self.phi
-
     def to_factor_model(self):
         return FactorModel(
             omega=binary_loadings(self.assignment, self.f),
@@ -284,10 +279,11 @@ def _schema_violation(doc):
                       for j, x in enumerate(row) if not _is_number(x)]
         elif key in _ITEM_RULES:
             is_type, minimum, maximum, name = _ITEM_RULES[key]
+            # two comparisons, not minimum <= x <= maximum: NaN passes both
             found = [((i,), f"{x!r} is not of type {name!r}" if not is_type(x)
                       else f"{x!r} is less than the minimum of {minimum!r}" if x < minimum
                       else f"{x!r} is greater than the maximum of {maximum!r}")
-                     for i, x in enumerate(value) if not (is_type(x) and minimum <= x <= maximum)]
+                     for i, x in enumerate(value) if not is_type(x) or x < minimum or x > maximum]
         if found:
             path, message = min(found, key=lambda err: err[0])
             return "/" + "/".join(map(str, (key, *path))), message
@@ -323,14 +319,12 @@ class EigenStructure:
     def total(self):
         return sum(v * m for v, m in self.values)
 
+    def to_dict(self):
+        return {"values": [{"value": v, "mult": m} for v, m in self.values],
+                "rho_star": self.rho_star, "top_cluster": self.top_cluster}
+
     def to_json(self):
-        return json.dumps(
-            {
-                "values": [{"value": v, "mult": m} for v, m in self.values],
-                "rho_star": self.rho_star,
-                "top_cluster": self.top_cluster,
-            }
-        )
+        return json.dumps(self.to_dict())
 
 
 @dataclass
@@ -538,26 +532,28 @@ def deflated_eigenvalues(model):
     return np.sort(np.concatenate([np.linalg.eigvalsh(block), np.repeat(d, counts - 1)]))
 
 
-def dense_rho_star(model, corr=None):
-    """Dense path: the spectral summary of the model's correlation matrix
-    `corr` (assembled when not given). Its eigenvalues come from
-    deflated_eigenvalues where a binary model's alphas repeat, and are set
-    on corr; otherwise corr.eigenvalues takes them from np.linalg.eigvalsh.
-    The top pair comes from corr.top_pair(), so from power iteration on the
-    same eigenvalues, or else from the full eigendecomposition and its tie
-    rule."""
-    if corr is None:
-        _, corr = build_covariance(model)
+def dense_rho_star(model):
+    """Dense path: the EigenStructure of the model's assembled correlation
+    matrix, every eigenvalue with multiplicity 1 and the top first. The
+    eigenvalues come from deflated_eigenvalues where a binary model's alphas
+    repeat, set on the matrix, and otherwise from np.linalg.eigvalsh.
+    rho_star comes from spectral_summary's top pair, so from power iteration
+    on those eigenvalues, or else from the full eigendecomposition and its
+    tie rule."""
+    _, corr = build_covariance(model)
     w = deflated_eigenvalues(model)
     if w is not None:
         corr.eigenvalues = w
-    return spectral_mod.spectral_summary(corr)
+    rho = spectral_mod.spectral_summary(corr).rho_star
+    values = [(float(x), 1) for x in corr.eigenvalues[::-1]]
+    return EigenStructure(values=values, rho_star=rho, top_cluster=1)
 
 
 def model_eigenstructure(model):
-    """Dispatch to the applicable closed-form reduction, falling back to the
-    dense solver. The binary closed form needs a diagonal Phi and xi uniform
-    within each cluster. Returns (EigenStructure, method_tag)."""
+    """(EigenStructure, method tag) from the applicable closed-form
+    reduction, else from the dense path (dense_rho_star), each returned as
+    its solver built it. The binary closed form needs a diagonal Phi and xi
+    uniform within each cluster."""
     if model.mode == "binary":
         off = model.phi_cov - np.diag(np.diag(model.phi_cov))
         xi = _cluster_xi(model) if np.max(np.abs(off)) < 1e-15 else None
@@ -569,10 +565,7 @@ def model_eigenstructure(model):
                     "closed-form-nondiagonal")
     elif np.all(model.xi == 0):
         return reduce_nonbinary(model), "reduced-nonbinary"
-    _, corr = build_covariance(model)
-    summary = dense_rho_star(model, corr)
-    values = [(float(x), 1) for x in corr.eigenvalues[::-1]]
-    return EigenStructure(values=values, rho_star=summary.rho_star, top_cluster=1), "dense"
+    return dense_rho_star(model), "dense"
 
 
 def _cluster_xi(model):

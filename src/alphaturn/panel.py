@@ -132,9 +132,9 @@ class CorrelationMatrix:
 
     @eigenvalues.setter
     def eigenvalues(self, w):
-        """Ascending eigenvalues found without decomposing psi, such as a
-        factor model's from its reduced problem; the top pair and the
-        dense model path then read them in place of an eigvalsh."""
+        """Ascending eigenvalues found without decomposing psi; its one caller,
+        factor_model.dense_rho_star, sets a binary model's deflated ones, which
+        top_pair() then reads in place of an eigvalsh."""
         self._eigenvalues = w
         self._top = None
 

@@ -23,17 +23,12 @@ class SpectralSummary:
     gamma: float | None  # None where rho_prime <= 0
     mean_corr: float
 
+    def to_dict(self):
+        return {"psi1": self.psi1, "rho_star": self.rho_star, "rho_prime": self.rho_prime,
+                "gamma": self.gamma, "mean_corr": self.mean_corr, "v1": self.v1.tolist()}
+
     def to_json(self):
-        return json.dumps(
-            {
-                "psi1": self.psi1,
-                "rho_star": self.rho_star,
-                "rho_prime": self.rho_prime,
-                "gamma": self.gamma,
-                "mean_corr": self.mean_corr,
-                "v1": list(self.v1),
-            }
-        )
+        return json.dumps(self.to_dict())
 
 
 @dataclass

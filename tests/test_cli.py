@@ -574,6 +574,15 @@ class TestModel:
          "model schema violation at /phi: "),
         ({"mode": "dense", "omega": [], "phi": [1]}, "loadings must be an N x F matrix"),
         ({"mode": "binary", "sizes": [2], "phi": [None]}, "must be finite"),
+        ({"mode": "dense", "omega": [[1, 2]], "phi": [1]},
+         "factor covariance shape does not match loadings"),
+        ({"mode": "dense", "omega": [[1, 2]], "phi": [[1, 0.5], [0.4, 1]]},
+         "factor covariance must be symmetric"),
+        ({"mode": "dense", "omega": [[1], [2]], "phi": [1], "xi": [1]},
+         "specific risks must be nonnegative, one per alpha"),
+        # the schema gives xi no maximum, so NaN passes it
+        ({"mode": "dense", "omega": [[1], [2]], "phi": [1], "xi": [float("nan"), 1]},
+         "loadings, factor covariance and specific risks must be finite"),
     ])
     def test_malformed_arrays_exit_2(self, tmp_path, capsys, doc, message):
         path = self._write_model(tmp_path, doc)
@@ -693,6 +702,41 @@ class TestSynth:
         assert model.n == 10
         assert model.f == 2
 
+    @pytest.mark.parametrize("factor_rho", ["0.3", "random"])
+    def test_correlated_factors_take_dense_path(self, tmp_path, factor_rho):
+        """A non-diagonal Phi with xi != 0: reruns are byte-identical, and
+        the dense path's eigenvalues, deflated to one per cluster, and
+        rho_star agree with eigh of the assembled matrix."""
+        argv = ["synth", "--seed", "7", "--n", "60", "--clusters", "6", "--n-obs", "30",
+                "--factor-rho", factor_rho]
+        written = []
+        for k in range(2):
+            p, m = tmp_path / f"p{k}.csv", tmp_path / f"m{k}.json"
+            assert run(argv + ["--panel-out", str(p), "--model-out", str(m)]) == 0
+            written.append((p.read_bytes(), m.read_bytes()))
+        assert written[0] == written[1]
+        model = fm.FactorModel.from_json(written[0][1].decode())
+        corr = pm.unit_diagonal(model.phi_cov)
+        assert np.array_equal(np.diag(corr), np.ones(6))
+        assert np.linalg.eigvalsh(corr)[0] > 0
+        off = corr[~np.eye(6, dtype=bool)]
+        if factor_rho == "random":
+            assert np.ptp(off) > 0.1
+        else:
+            np.testing.assert_allclose(off, 0.3, rtol=1e-15)
+        assert fm.deflated_eigenvalues(model) is not None
+        w, v = np.linalg.eigh(fm.build_covariance(model)[1].psi)
+        for op in ("eigen", "rho-star"):
+            out = tmp_path / f"{op}.json"
+            assert run(["model", str(tmp_path / "m0.json"), "--op", op, "--out", str(out)]) == 0
+            got = json.loads(out.read_text())
+            assert got["method"] == "dense"
+            assert got["rho_star"] == pytest.approx(w[-1] * abs(v[:, -1].sum()) / 60**1.5,
+                                                    rel=1e-12, abs=0)
+        values = np.sort([x["value"] for x in json.loads((tmp_path / "eigen.json").read_text())
+                          ["values"] for _ in range(x["mult"])])
+        np.testing.assert_allclose(values, w, rtol=0, atol=1e-12 * w[-1])
+
     def test_random_multinomial_too_many_clusters_exit_2(self, tmp_path):
         # every cluster nonempty in one draw of 50 alphas into 50 clusters has
         # odds near 3e-21: the redraws stop at a bound. Run in a subprocess
@@ -708,11 +752,13 @@ class TestSynth:
         assert not (tmp_path / "p.csv").exists()
 
     def test_negative_seed_exit_2(self, tmp_path, capsys):
-        assert run(
-            ["synth", "--seed", "-1", "--n", "4", "--clusters", "2",
-             "--panel-out", str(tmp_path / "p.csv"),
-             "--model-out", str(tmp_path / "m.json")]
-        ) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(
+                ["synth", "--seed", "-1", "--n", "4", "--clusters", "2",
+                 "--panel-out", str(tmp_path / "p.csv"),
+                 "--model-out", str(tmp_path / "m.json")]
+            ) == 2
         assert capsys.readouterr().err == "error: seed must be a nonnegative integer, got -1\n"
         assert not (tmp_path / "p.csv").exists()
 
@@ -810,7 +856,7 @@ class TestFTest:
         w = tmp_path / "w.csv"
         self._write_loadings(w, labels[:3], [1, 1, 2])  # a3 unmapped
         assert run(["ftest", str(p), str(w), str(p), str(w)]) == 2
-        assert "a3" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", f"error: {w}: no cluster for alpha 'a3'\n")
 
     def test_every_time_skipped_exit_2(self, tmp_path, capsys):
         # each time step observes both clusters but only 2 alphas, no more
@@ -883,6 +929,20 @@ class TestFTest:
         self._write_loadings(w, labels, [1, bad, 2, 2])
         assert run(["ftest", str(p), str(w), str(p), str(w)]) == 2
         assert f"{w}: row 3: bad cluster id '{bad}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows, message", [
+        (["a0,1,2", "a1,1", "a2,2", "a3,2"], "{w}: row 2 must have 2 fields"),
+        # cluster ids 1 and 3: the loadings have an empty second column
+        (["a0,1", "a1,1", "a2,3", "a3,3"], "omega_old: cluster column 2 is empty"),
+    ], ids=["three-fields", "skipped-cluster"])
+    def test_bad_loadings_exit_2(self, tmp_path, capsys, rows, message):
+        p = tmp_path / "p.csv"
+        self._write_panel(p, np.random.default_rng(3).standard_normal((4, 4)) + 1.0,
+                          ["a0", "a1", "a2", "a3"])
+        w = tmp_path / "w.csv"
+        w.write_text("\n".join(["alpha,cluster", *rows]) + "\n")
+        assert run(["ftest", str(p), str(w), str(p), str(w)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message.format(w=w)}\n")
 
 
 # Malformed panel and correlation files: (file text, extra analyze flags,
@@ -1016,3 +1076,44 @@ class TestTracedLayers:
                     "--out", str(tmp_path / "o")]) == 0
         assert called == {(mod, attr) for mod, attr in self.layers()
                           if mod in ("cli", "factor_model")}
+
+
+def test_synth_data_through_every_command(tmp_path):
+    """A synth panel and model through analyze, clusters, model and ftest:
+    each exits 0 and writes strict JSON, without NaN or Infinity."""
+    d = tmp_path
+    assert run(["synth", "--seed", "1", "--n", "60", "--clusters", "4", "--n-obs", "30",
+                "--panel-out", f"{d}/panel.csv", "--model-out", f"{d}/model.json"]) == 0
+    panel = pm.load_panel(d / "panel.csv")
+    pm.save_correlation(pm.pairwise_correlation(panel), d / "corr.csv")
+    # the F-test with the model's last cluster as the new one: the old
+    # panel drops its alphas
+    assignment = json.loads((d / "model.json").read_text())["assignment"]
+    old = [j for j, c in enumerate(assignment) if c < max(assignment)]
+    pm.save_panel(pm.AlphaPanel(labels=[panel.labels[j] for j in old], times=panel.times,
+                                values=panel.values[:, old]), d / "panel_old.csv")
+    for name, cols in (("old", old), ("new", range(len(assignment)))):
+        (d / f"loadings_{name}.csv").write_text("alpha,cluster\n" + "".join(
+            f"{panel.labels[j]},{assignment[j]}\n" for j in cols))
+    for argv in (
+        ["analyze", f"{d}/panel.csv", "--deform", "--out", f"{d}/analyze.json"],
+        ["clusters", f"{d}/corr.csv", "--deform", "--kmax", "5", "--out", f"{d}/sweep.csv",
+         "--summary-out", f"{d}/knee.json"],
+        # the top pair from eigenvalues alone, and a basis left unsigned
+        ["analyze", f"{d}/corr.csv", "--corr", "--out", f"{d}/analyze_corr.json"],
+        ["analyze", f"{d}/corr.csv", "--corr", "--raw-basis", "--out", f"{d}/analyze_raw.json"],
+        ["model", f"{d}/model.json", "--op", "eigen", "--out", f"{d}/eigen.json"],
+        ["ftest", f"{d}/panel_old.csv", f"{d}/loadings_old.csv", f"{d}/panel.csv",
+         f"{d}/loadings_new.csv", "--out", f"{d}/fstats.csv", "--summary-out", f"{d}/verdict.json"],
+    ):
+        assert run(argv) == 0, argv
+
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    docs = {name: json.loads((d / f"{name}.json").read_text(), parse_constant=reject)
+            for name in ("analyze", "analyze_corr", "analyze_raw", "knee", "eigen", "verdict")}
+    # 60 alphas and 30 observations: the panel's correlation matrix is singular
+    assert docs["analyze"]["deformed"]
+    assert "signs" in docs["analyze_corr"] and "signs" not in docs["analyze_raw"]
+    assert docs["eigen"]["method"] == "closed-form-binary"

@@ -516,6 +516,8 @@ model_docs = weighted(
 # the type rules: 1.0 is an integer, and a bool is neither an integer nor a number
 @example(doc={"mode": "binary", "phi": [], "sizes": [1.0, 2, True], "assignment": [0.0]})
 @example(doc={"mode": "dense", "phi": [], "xi": [0, 1.5, False], "omega": [[1], [-0.0, True]]})
+# NaN is a number, neither below a minimum nor above a maximum
+@example(doc={"mode": "dense", "omega": [[1], [2]], "phi": [1], "xi": [float("nan"), 1]})
 def test_schema_violation_matches_jsonschema(doc):
     """Accept/reject, the pointer and the message of the first violation in
     pointer order all agree with jsonschema's Draft7Validator."""
