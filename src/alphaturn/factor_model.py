@@ -4,10 +4,10 @@ Covers binary clusters with and without specific risk, non-diagonal factor
 covariance via the reduced F x F problem, non-binary loadings via the
 Gram-matrix reduction, the uniform-correlation secular equation, and the
 demeaned-loadings bound on the top eigenvalue. Any other model takes the
-dense path: the eigenvalues of its assembled correlation matrix, from a
-G x G block gathered from Phi where a binary model's alphas fall into
-G < N groups of repeated rows, and the top eigenvector by power iteration
-on those eigenvalues.
+dense path: the eigenvalues and top eigenpair of its assembled
+correlation matrix, from one eigh of a G x G block gathered from Phi
+where a binary model's alphas fall into G < N groups of repeated rows,
+and otherwise from the matrix itself.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
+from . import eigen
 from .panel import CorrelationMatrix, unit_diagonal
-from . import spectral as spectral_mod
 
 # cluster sizes and ids, which numpy holds as int64
 _INT64_MAX = 2**63 - 1
@@ -323,9 +323,6 @@ class EigenStructure:
         return {"values": [{"value": v, "mult": m} for v, m in self.values],
                 "rho_star": self.rho_star, "top_cluster": self.top_cluster}
 
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
 
 @dataclass
 class AllocationPlan:
@@ -357,12 +354,22 @@ class NonbinaryBound:
 
 
 def build_covariance(model):
-    """Assemble Gamma = diag(xi^2) + Omega Phi Omega^T and its correlation
-    matrix (spectrum not yet computed)."""
+    """The correlation matrix of Gamma = diag(xi^2) + Omega Phi Omega^T
+    (spectrum not yet computed), assembled from the rows (xi_i, Omega_i)
+    scaled by _unit_rows, so tiny or huge rows square without under- or
+    overflow."""
+    rows = _unit_rows(np.column_stack([model.xi, model.omega]))
     with np.errstate(over="ignore", invalid="ignore"):
-        gamma = np.diag(model.xi**2) + model.omega @ model.phi_cov @ model.omega.T
+        gamma = np.diag(rows[:, 0] ** 2) + rows[:, 1:] @ model.phi_cov @ rows[:, 1:].T
     _check_total_variance(np.diag(gamma))
-    return gamma, CorrelationMatrix(psi=unit_diagonal(gamma))
+    return CorrelationMatrix(psi=unit_diagonal(gamma))
+
+
+def _unit_rows(rows):
+    """rows with row i scaled exactly by the power of two that brings its
+    largest magnitude into [0.5, 1); a zero row stays zero."""
+    e = np.frexp(np.max(np.abs(rows), axis=1))[1]
+    return np.ldexp(rows, -e[:, None])
 
 
 def _check_total_variance(var):
@@ -469,10 +476,11 @@ def _reduced_structure(w, n, lifted_sum):
 def _loadings_gram(model):
     """Row-normalized loadings lam = Omega L / |Omega L| (L the Cholesky
     factor of Phi) of a zero-specific-risk model, with the ascending
-    eigenpairs of their F x F Gram matrix lam^T lam."""
+    eigenpairs of their F x F Gram matrix lam^T lam; Omega's rows are
+    scaled by _unit_rows first, which leaves lam as it is."""
     if np.any(model.xi != 0):
         raise ValidationError("nonzero specific risk: use the dense path (dense_rho_star)")
-    omega_t = model.omega @ model.phi_chol
+    omega_t = _unit_rows(model.omega) @ model.phi_chol
     with np.errstate(over="ignore"):
         sig = np.linalg.norm(omega_t, axis=1)
     _check_total_variance(sig)
@@ -497,9 +505,10 @@ def reduce_nonbinary(model):
 
 
 def deflated_eigenvalues(model):
-    """Ascending eigenvalues of a binary model's correlation matrix from a
-    G x G problem, where its N alphas form G < N groups of repeated rows;
-    None for a dense-mode model or where G = N.
+    """(ascending eigenvalues, top pair (psi1, V1)) of a binary model's
+    correlation matrix from one eigh of a G x G block, where its N alphas
+    form G < N groups of repeated rows; None for a dense-mode model or
+    where G = N.
 
     Alphas with byte-identical (xi_i, Omega_i) rows, -0.0 taken as 0.0,
     form the groups. For groups g and h in clusters a and b, psi's entries
@@ -510,12 +519,15 @@ def deflated_eigenvalues(model):
     of c_g alphas holds c_g - 1 eigenvectors that sum to zero over it, each
     with eigenvalue 1 - M_gg, and the other G eigenvalues are those of
     sqrt(c c^T) * M + diag(1 - M_gg), psi on the normalised indicators (the
-    deflation of Bunch, Nielsen and Sorensen 1978)."""
+    deflation of Bunch, Nielsen and Sorensen 1978). A block eigenvector y
+    lifts isometrically to y_g / sqrt(c_g) on group g, so the tie rule of
+    eigen.top_eigenvector on the lifted vectors is the N-space rule."""
     if model.mode != "binary":
         return None
     rows = np.column_stack([model.xi, model.omega]) + 0.0
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
-    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True,
+                                          return_counts=True)
     if len(first) == model.n:
         return None
     cluster = np.argmax(model.omega[first], axis=1)
@@ -529,24 +541,30 @@ def deflated_eigenvalues(model):
     block = root[:, None] * m * root[None, :]
     # for a lone alpha this is M_gg + (1 - M_gg), which rounds to exactly 1
     block[np.diag_indices_from(block)] = counts * np.diag(m) + d
-    return np.sort(np.concatenate([np.linalg.eigvalsh(block), np.repeat(d, counts - 1)]))
+    w, y = np.linalg.eigh(block)
+    top = eigen.top_eigenvector(w, (y / root[:, None])[inverse])
+    return np.sort(np.concatenate([w, np.repeat(d, counts - 1)])), top
 
 
 def dense_rho_star(model):
     """Dense path: the EigenStructure of the model's assembled correlation
-    matrix, every eigenvalue with multiplicity 1 and the top first. The
-    eigenvalues come from deflated_eigenvalues where a binary model's alphas
-    repeat, set on the matrix, and otherwise from np.linalg.eigvalsh.
-    rho_star comes from spectral_summary's top pair, so from power iteration
-    on those eigenvalues, or else from the full eigendecomposition and its
-    tie rule."""
-    _, corr = build_covariance(model)
-    w = deflated_eigenvalues(model)
-    if w is not None:
-        corr.eigenvalues = w
-    rho = spectral_mod.spectral_summary(corr).rho_star
-    values = [(float(x), 1) for x in corr.eigenvalues[::-1]]
-    return EigenStructure(values=values, rho_star=rho, top_cluster=1)
+    matrix, every eigenvalue with multiplicity 1 and the top first, with
+    the top pair from the matrix's `eigenvalues` and `top_pair()`, or from
+    deflated_eigenvalues where a binary model's alphas repeat. Such a pair
+    must have |psi V1 - psi1 V1| at most the spread of psi1's eigenspace
+    plus eigen.TOP_RESIDUAL_TOL times psi1, the error a backward-stable
+    eigh may leave whatever the gap below psi1, else NumericalError."""
+    corr = build_covariance(model)
+    deflated = deflated_eigenvalues(model)
+    if deflated is None:
+        w, (psi1, v1) = corr.eigenvalues, corr.top_pair()
+    else:
+        w, (psi1, v1) = deflated
+        spread = psi1 - w[-eigen.top_multiplicity(w)]
+        if not np.linalg.norm(corr.psi @ v1 - psi1 * v1) <= spread + eigen.TOP_RESIDUAL_TOL * psi1:
+            raise NumericalError("the deflated top eigenpair fails its residual check")
+    rho = float(psi1 * abs(np.sum(v1)) / model.n**1.5)
+    return EigenStructure(values=[(float(x), 1) for x in w[::-1]], rho_star=rho, top_cluster=1)
 
 
 def model_eigenstructure(model):

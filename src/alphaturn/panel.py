@@ -77,8 +77,7 @@ class CorrelationMatrix:
     costs at most one O(N^3) solve with eigenvectors. `top_pair()` needs
     only `eigenvalues`: without a cached spectrum it takes them from one
     eigvalsh and finds V1 by power iteration, and reads the spectrum only
-    where that declines. Nothing is computed at construction. A caller that
-    knows the eigenvalues by other means sets `eigenvalues`.
+    where that declines. Nothing is computed at construction.
     """
 
     def __init__(self, psi, *, min_overlap=0, labels=None, spectrum=None):
@@ -129,14 +128,6 @@ class CorrelationMatrix:
             self._eigenvalues = (np.linalg.eigvalsh(self.psi) if self._spectrum is None
                                  else self._spectrum[0])
         return self._eigenvalues
-
-    @eigenvalues.setter
-    def eigenvalues(self, w):
-        """Ascending eigenvalues found without decomposing psi; its one caller,
-        factor_model.dense_rho_star, sets a binary model's deflated ones, which
-        top_pair() then reads in place of an eigvalsh."""
-        self._eigenvalues = w
-        self._top = None
 
     @property
     def psd(self):

@@ -3,7 +3,6 @@ correlation matrix, plus the turnover estimate and diagnostics."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +25,6 @@ class SpectralSummary:
     def to_dict(self):
         return {"psi1": self.psi1, "rho_star": self.rho_star, "rho_prime": self.rho_prime,
                 "gamma": self.gamma, "mean_corr": self.mean_corr, "v1": self.v1.tolist()}
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
 
 
 @dataclass

@@ -105,7 +105,9 @@ def deflated_eigenvalues(model, corr):
     with eigenvalue 1 - M_gg, and the other G eigenvalues are those of
     sqrt(c c^T) * M + diag(1 - M_gg), psi on the normalised indicators (the
     deflation of Bunch, Nielsen and Sorensen 1978). These are eigenvalues of
-    psi as assembled, not of a factored form of it."""
+    psi as assembled, not of a factored form of it. The block is solved by
+    np.linalg.eigh, as factor_model.deflated_eigenvalues solves its block,
+    so the two agree bit for bit wherever their blocks do."""
     rows = np.column_stack([model.xi, model.omega]) + 0.0
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
     _, first, inv, counts = np.unique(keys, return_index=True, return_inverse=True,
@@ -122,4 +124,4 @@ def deflated_eigenvalues(model, corr):
     root = np.sqrt(counts)
     block = root[:, None] * m * root[None, :]
     block[np.diag_indices_from(block)] = counts * np.diag(m) + d
-    return np.sort(np.concatenate([np.linalg.eigvalsh(block), np.repeat(d, counts - 1)]))
+    return np.sort(np.concatenate([np.linalg.eigh(block)[0], np.repeat(d, counts - 1)]))

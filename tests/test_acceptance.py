@@ -84,7 +84,7 @@ def test_03_specific_risk_formula():
         formula = rho0 * (1.0 + zeta / n_star) / (1.0 + zeta)
         worst = max(worst, abs(rho - formula))
         # dense eigensolver cross-check
-        dense = sp.spectral_summary(fm.build_covariance(spec.to_factor_model())[1])
+        dense = sp.spectral_summary(fm.build_covariance(spec.to_factor_model()))
         worst = max(worst, abs(rho - dense.rho_star))
     assert worst < 1e-10
     print(f"\nACCEPT 03 PASS specific-risk ratio, worst abs err {worst:.3e} (tol 1e-10)")
@@ -126,7 +126,7 @@ def test_04_oracle_equivalence():
                     omega=omega, phi_cov=rand_spd_corr(rng, f), xi=np.zeros(n)
                 )
                 eig = fm.reduce_nonbinary(model)
-            _, corr_full = fm.build_covariance(model)
+            corr_full = fm.build_covariance(model)
             dense_w = np.sort(np.linalg.eigvalsh(corr_full.psi))[::-1]
             worst_eig = max(worst_eig, np.max(np.abs(eig.eigenvalues() - dense_w)))
             dense = sp.spectral_summary(corr_full)
@@ -329,7 +329,7 @@ def test_10_round_trip():
         phi_range=(0.7, 1.5), xi_range=(0.3, 0.8), factor_rho=0.2,
     )
     model = sy.gen_model(config)
-    truth = sp.spectral_summary(fm.build_covariance(model)[1]).rho_star
+    truth = sp.spectral_summary(fm.build_covariance(model)).rho_star
     estimates = []
     for s in range(50):
         panel = sy.gen_panel(model, 10_000, 7000 + s)

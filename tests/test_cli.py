@@ -8,6 +8,7 @@ import pytest
 
 from alphaturn import cli
 from alphaturn import clusters as cl
+from alphaturn import eigen
 from alphaturn import factor_model as fm
 from alphaturn import panel as pm
 from alphaturn import spectral as sp
@@ -79,7 +80,7 @@ class TestAnalyze:
         assert doc["rho_prime"] < 0
         assert doc["gamma"] is None
         summary = sp.spectral_summary(pm.load_correlation(path))
-        assert json.loads(summary.to_json(), parse_constant=reject)["gamma"] is None
+        assert json.loads(json.dumps(summary.to_dict()), parse_constant=reject)["gamma"] is None
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         assert run(["analyze", str(tmp_path / "nope.csv")]) == 2
@@ -534,7 +535,7 @@ class TestModel:
         doc = {"mode": "binary", "sizes": [3, 2], "phi": [1, 1],
                "xi": [0.1, 0.2, 0.3, 0.4, 0.4]}
         path = self._write_model(tmp_path, doc)
-        want = sp.spectral_summary(fm.build_covariance(fm.FactorModel.from_doc(doc))[1]).rho_star
+        want = sp.spectral_summary(fm.build_covariance(fm.FactorModel.from_doc(doc))).rho_star
         for op in ("eigen", "rho-star"):
             out = tmp_path / f"{op}.json"
             assert run(["model", str(path), "--op", op, "--out", str(out)]) == 0
@@ -601,6 +602,18 @@ class TestModel:
         monkeypatch.setattr(cli.fm, "secular_roots", boom)
         assert run(["model", str(path), "--op", "rho-curve"]) == 3
 
+    def test_deflated_top_pair_failing_its_guard_exit_3(self, tmp_path, monkeypatch, capsys):
+        # repeated alphas on correlated factors: the dense path takes the top
+        # pair from the deflated block, which no residual passes at tolerance 0
+        path = self._write_model(tmp_path, {
+            "mode": "binary", "assignment": [1, 1, 2, 2, 2], "phi": [[1, 0.3], [0.3, 1]],
+            "xi": [0.5, 0.5, 0.2, 0.2, 0.4]})
+        monkeypatch.setattr(eigen, "TOP_RESIDUAL_TOL", 0.0)
+        assert run(["model", str(path), "--op", "eigen"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numerical error: ") and "Traceback" not in err
+
     def _exit_2(self, tmp_path, capsys, doc):
         """stderr of a model document that must exit 2 without a warning."""
         path = self._write_model(tmp_path, doc)
@@ -612,23 +625,63 @@ class TestModel:
         assert out == ""
         return err
 
+    # each row is scaled into [0.5, 1) before it is squared, so a variance
+    # overflows only through Phi: eight factors of variance 1.7e308 on a
+    # row of ones sum to 3.4e308
     @pytest.mark.parametrize("doc, message", [
         # xi = 0: the Gram reduction, whose row norm overflows
-        ({"mode": "dense", "omega": [[1e200], [1]], "phi": [1]},
+        ({"mode": "dense", "omega": [[1] * 8, [1] + [0] * 7], "phi": [1.7e308] * 8},
          "alpha 0 has non-finite (overflowing) total variance"),
-        ({"mode": "dense", "omega": [[1e160], [1e160]], "phi": [1]},
+        ({"mode": "dense", "omega": [[1] * 8, [1] * 8], "phi": [1.7e308] * 8},
          "alpha 0 has non-finite (overflowing) total variance"),
         # xi != 0: the dense path, whose assembled covariance overflows
-        ({"mode": "dense", "omega": [[1], [1e200]], "phi": [1], "xi": [1, 1]},
-         "alpha 1 has non-finite (overflowing) total variance"),
-        ({"mode": "binary", "assignment": [1, 2, 2], "phi": [1, 1], "xi": [1, 1e200, 1]},
+        ({"mode": "dense", "omega": [[1] + [0] * 7, [1] * 8], "phi": [1.7e308] * 8,
+          "xi": [1, 1]},
          "alpha 1 has non-finite (overflowing) total variance"),
         # the binary closed form
         ({"mode": "binary", "sizes": [2, 2], "phi": [1, 1], "xi": [1, 1, 1e200, 1e200]},
          "cluster 2: xi^2 + N_A phi overflows"),
-    ], ids=["gram-one", "gram-both", "dense", "binary-dense", "binary-closed-form"])
+    ], ids=["gram-one", "gram-both", "dense", "binary-closed-form"])
     def test_overflowing_variance_exit_2(self, tmp_path, capsys, doc, message):
         assert self._exit_2(tmp_path, capsys, doc) == f"error: {message}\n"
+
+    @pytest.mark.parametrize("doc", [
+        {"mode": "dense", "omega": [[0], [1]], "phi": [1]},
+        {"mode": "dense", "omega": [[1], [0]], "phi": [1], "xi": [1, 0]},
+    ], ids=["gram", "dense"])
+    def test_zero_row_exit_2(self, tmp_path, capsys, doc):
+        alpha = doc["omega"].index([0])
+        assert self._exit_2(tmp_path, capsys, doc) == (
+            f"error: alpha {alpha} has zero total variance\n")
+
+    # rows whose squares underflow or overflow, each with the same model at
+    # an ordinary scale: scaling an alpha's row leaves its correlations as
+    # they are
+    @pytest.mark.parametrize("doc, unit", [
+        ({"mode": "dense", "omega": [[1e-170], [2e-170]], "phi": [1]},
+         {"mode": "dense", "omega": [[1], [2]], "phi": [1]}),
+        ({"mode": "dense", "omega": [[1e-170], [2e-170]], "phi": [1], "xi": [1e-170] * 2},
+         {"mode": "dense", "omega": [[1], [2]], "phi": [1], "xi": [1, 1]}),
+        ({"mode": "dense", "omega": [[1e200], [2e200]], "phi": [1]},
+         {"mode": "dense", "omega": [[1], [2]], "phi": [1]}),
+        ({"mode": "dense", "omega": [[1e200], [2e200]], "phi": [1], "xi": [1e200] * 2},
+         {"mode": "dense", "omega": [[1], [2]], "phi": [1], "xi": [1, 1]}),
+        ({"mode": "binary", "assignment": [1, 2, 2], "phi": [1, 1], "xi": [1, 1e200, 1]},
+         {"mode": "dense", "omega": [[1, 0], [0, 1e-200], [0, 1]], "phi": [1, 1],
+          "xi": [1, 1, 1]}),
+    ], ids=["tiny", "tiny-xi", "huge", "huge-xi", "binary-dense"])
+    def test_tiny_or_huge_rows(self, tmp_path, doc, unit):
+        path = self._write_model(tmp_path, doc)
+        out = tmp_path / "eig.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["model", str(path), "--op", "eigen", "--out", str(out)]) == 0
+        got = json.loads(out.read_text())
+        corr = fm.build_covariance(fm.FactorModel.from_doc(unit))
+        w = np.linalg.eigvalsh(corr.psi)
+        np.testing.assert_allclose([v["value"] for v in got["values"]], w[::-1], rtol=0,
+                                   atol=1e-12 * w[-1])
+        assert got["rho_star"] == pytest.approx(sp.spectral_summary(corr).rho_star, rel=1e-12)
 
     @pytest.mark.parametrize("key", ["sizes", "assignment"])
     def test_count_beyond_int64_exit_2(self, tmp_path, capsys, key):
@@ -670,7 +723,7 @@ class TestModel:
         got = json.loads(out.read_text())
         assert got["method"] == "closed-form-nondiagonal"
         values = np.sort([v["value"] for v in got["values"] for _ in range(v["mult"])])
-        w, v = np.linalg.eigh(fm.build_covariance(fm.FactorModel.from_doc(doc))[1].psi)
+        w, v = np.linalg.eigh(fm.build_covariance(fm.FactorModel.from_doc(doc)).psi)
         np.testing.assert_allclose(values, w, rtol=0, atol=1e-12)
         assert got["rho_star"] == pytest.approx(w[-1] * abs(v[:, -1].sum()) / 5**1.5,
                                                 rel=1e-12, abs=0)
@@ -725,7 +778,7 @@ class TestSynth:
         else:
             np.testing.assert_allclose(off, 0.3, rtol=1e-15)
         assert fm.deflated_eigenvalues(model) is not None
-        w, v = np.linalg.eigh(fm.build_covariance(model)[1].psi)
+        w, v = np.linalg.eigh(fm.build_covariance(model).psi)
         for op in ("eigen", "rho-star"):
             out = tmp_path / f"{op}.json"
             assert run(["model", str(tmp_path / "m0.json"), "--op", op, "--out", str(out)]) == 0

@@ -43,7 +43,7 @@ class TestLowerBound:
     def test_binary_model_bound_holds(self):
         # equal clusters, no specific risk: bound is tight (= F)
         spec = ClusterSpec.from_sizes([7] * 5)
-        _, corr = build_covariance(spec.to_factor_model())
+        corr = build_covariance(spec.to_factor_model())
         est = cl.lower_bound_F(corr)
         assert est.lower_bound == pytest.approx(5.0, rel=1e-9)
 
@@ -86,7 +86,7 @@ class TestResidualSweep:
             spec = ClusterSpec.from_sizes(
                 sizes, phi=np.full(f, 1.0), xi=rng.uniform(0.4, 0.8, f)
             )
-            _, corr = build_covariance(spec.to_factor_model())
+            corr = build_covariance(spec.to_factor_model())
             curve = cl.residual_correlation_sweep(make_corr(corr.psi), k_max=f + 2)
             z = dict(zip(curve.ks, curve.zeta1))
             assert all(z[k + 1] < z[k] for k in range(1, f))

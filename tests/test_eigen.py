@@ -297,15 +297,15 @@ class TestDecompositionBudget:
         # deflated, though tied-top's alphas repeat
         model = {"tied-top": tied_top_model, "tied-top-distinct": tied_top_distinct_model,
                  "cancelling": cancelling_model, "near-tied": near_tied_model}[kind]()
-        _, corr = fm.build_covariance(model)
+        corr = fm.build_covariance(model)
         calls, doc = self.model_eigen(tmp_path, monkeypatch, model)
         assert calls == (["eigvalsh"] if kind == "cancelling" else ["eigvalsh", "eigh"])
         assert doc["method"] == "dense"
         assert doc["rho_star"] == pytest.approx(sp.spectral_summary(corr).rho_star, rel=1e-12)
 
     def test_model_binary_per_cluster_xi(self, tmp_path, monkeypatch):
-        # 60 alphas in 6 clusters with per-cluster xi: the eigenvalues come
-        # from a 6 x 6 problem, the top pair by power iteration
+        # 60 alphas in 6 clusters with per-cluster xi: the eigenvalues and
+        # the top pair come from one eigh of a 6 x 6 block
         rng = np.random.default_rng(11)
         f = 6
         b = rng.uniform(0.0, 1.0, (f, f)) + np.eye(f)
@@ -315,11 +315,68 @@ class TestDecompositionBudget:
         calls, doc = self.model_eigen(tmp_path, monkeypatch, model)
         assert calls == []
         assert doc["method"] == "dense"
-        _, corr = fm.build_covariance(model)
+        corr = fm.build_covariance(model)
         w = np.linalg.eigvalsh(corr.psi)
         np.testing.assert_allclose([v["value"] for v in doc["values"]], w[::-1], rtol=0,
                                    atol=1e-12 * w[-1])
         assert doc["rho_star"] == pytest.approx(sp.spectral_summary(corr).rho_star, rel=1e-12)
+
+    @pytest.mark.parametrize("kind, eps", [
+        ("tied", None), ("all-tied", None), ("non-dominant", None),
+        ("near-tied", 1e-4), ("near-tied", 1e-6), ("near-tied", 1e-9), ("near-tied", 1e-11),
+    ], ids=["tied", "all-tied", "non-dominant", "near-tied-1e-4", "near-tied-1e-6",
+            "near-tied-1e-9", "tied-within-degen-tol"])
+    def test_model_binary_block_top_pair(self, tmp_path, monkeypatch, kind, eps):
+        # a binary model whose alphas repeat takes its top pair from the
+        # G x G block too where its top is tied (two equal clusters above
+        # two single alphas on correlated factors), where every eigenvalue
+        # ties (xi = 1e6 swamps the factors, so no eigenvalue lies below the
+        # top eigenspace), where its top is not dominant (power iteration
+        # would take more than N / 8 steps) or where two clusters of 50 on
+        # factors of variance 1 and 1 + eps put the top two eigenvalues
+        # about 8 eps apart (within DEGEN_TOL at eps = 1e-11): no N x N eigh
+        if kind == "tied":
+            phi = np.eye(4)
+            phi[2, 3] = phi[3, 2] = 0.5
+            model = fm.FactorModel(
+                omega=fm.binary_loadings(np.repeat([1, 2, 3, 4], [4, 4, 1, 1]), 4),
+                phi_cov=phi, xi=np.repeat([0.5, 0.3, 0.7], [8, 1, 1]), mode="binary")
+        elif kind == "all-tied":
+            model = fm.FactorModel(omega=fm.binary_loadings([1, 1, 2, 2], 2),
+                                   phi_cov=np.array([[1.0, 0.5], [0.5, 1.0]]),
+                                   xi=np.full(4, 1e6), mode="binary")
+        elif kind == "near-tied":
+            model = fm.FactorModel(omega=fm.binary_loadings(np.repeat([1, 2], 50), 2),
+                                   phi_cov=np.array([[1, 1e-12], [1e-12, 1 + eps]]),
+                                   xi=np.full(100, 0.5), mode="binary")
+        else:
+            m = tmp_path / "synth.json"
+            assert cli.main(["synth", "--seed", "3", "--n", "200", "--clusters", "20",
+                             "--n-obs", "20", "--factor-rho", "random",
+                             "--panel-out", str(tmp_path / "synth.csv"),
+                             "--model-out", str(m)]) == 0
+            model = fm.FactorModel.from_json(m.read_text())
+        corr = fm.build_covariance(model)
+        w = np.linalg.eigvalsh(corr.psi)
+        k = eigen.top_multiplicity(w)
+        if kind == "tied":
+            assert k == 2
+        elif kind == "all-tied":
+            assert k == model.n
+        elif kind == "near-tied":
+            assert k == (2 if eps < 1e-10 else 1)
+        else:
+            assert eigen.power_top_pair(corr.psi, w) is None
+        calls, doc = self.model_eigen(tmp_path, monkeypatch, model)
+        assert calls == []
+        assert doc["method"] == "dense"
+        np.testing.assert_allclose([v["value"] for v in doc["values"]], w[::-1], rtol=0,
+                                   atol=1e-12 * w[-1])
+        # V1, and so rho*, moves by up to about eps * psi1 / gap under
+        # rounding, in eigh as in the block: 2e-8 at eps = 1e-9
+        gap = w[-1] - w[-k - 1] if k < model.n else np.inf
+        want = sp.spectral_summary(corr).rho_star
+        assert doc["rho_star"] == pytest.approx(want, rel=1e-12 * max(1.0, w[-1] / gap))
 
     def test_model_repeated_cancelling_model_not_deflated(self, tmp_path, monkeypatch):
         # every alpha of cancelling_model twice: its factored Z + U U^T is
@@ -330,7 +387,7 @@ class TestDecompositionBudget:
         base = cancelling_model()
         model = fm.FactorModel(omega=np.repeat(base.omega, 2, axis=0), phi_cov=base.phi_cov,
                                xi=np.repeat(base.xi, 2))
-        _, corr = fm.build_covariance(model)
+        corr = fm.build_covariance(model)
         w = np.linalg.eigvalsh(corr.psi)
         calls, doc = self.model_eigen(tmp_path, monkeypatch, model)
         assert calls == ["eigvalsh"]

@@ -35,20 +35,14 @@ def rand_spd_corr(rng, f):
 class TestBuildCovariance:
     def test_binary_no_specific_risk(self):
         spec = fm.ClusterSpec.from_sizes([2, 1], phi=np.array([4.0, 9.0]))
-        gamma, corr = fm.build_covariance(spec.to_factor_model())
-        assert gamma[0, 0] == pytest.approx(4.0)
-        assert gamma[0, 1] == pytest.approx(4.0)
-        assert gamma[2, 2] == pytest.approx(9.0)
-        assert gamma[0, 2] == pytest.approx(0.0)
-        assert corr.psi[0, 1] == pytest.approx(1.0)
-        assert corr.psi[0, 2] == pytest.approx(0.0)
+        corr = fm.build_covariance(spec.to_factor_model())
+        np.testing.assert_allclose(corr.psi, [[1, 1, 0], [1, 1, 0], [0, 0, 1]], atol=1e-15)
 
     def test_specific_risk_dilutes_correlation(self):
         spec = fm.ClusterSpec.from_sizes(
             [2], phi=np.array([1.0]), xi=np.array([1.0])
         )
-        gamma, corr = fm.build_covariance(spec.to_factor_model())
-        assert gamma[0, 0] == pytest.approx(2.0)
+        corr = fm.build_covariance(spec.to_factor_model())
         assert corr.psi[0, 1] == pytest.approx(0.5)
 
     def test_dense_mode_correlation(self):
@@ -56,9 +50,8 @@ class TestBuildCovariance:
         omega = rng.standard_normal((6, 2))
         phi = rand_spd_corr(rng, 2)
         model = fm.FactorModel(omega=omega, phi_cov=phi, xi=np.zeros(6))
-        gamma, corr = fm.build_covariance(model)
+        corr = fm.build_covariance(model)
         expect = omega @ phi @ omega.T
-        assert np.allclose(gamma, expect, atol=1e-12)
         d = np.sqrt(np.diag(expect))
         assert np.allclose(corr.psi, expect / np.outer(d, d), atol=1e-12)
 
@@ -122,7 +115,7 @@ class TestBinaryEigensystem:
                 sizes, phi=rng.uniform(0.5, 2.0, f), xi=rng.uniform(0.1, 1.0, f)
             )
             eig = fm.binary_eigensystem(spec)
-            _, corr = fm.build_covariance(spec.to_factor_model())
+            corr = fm.build_covariance(spec.to_factor_model())
             dense = np.sort(np.linalg.eigvalsh(corr.psi))[::-1]
             assert np.allclose(eig.eigenvalues(), dense, atol=1e-10)
 
@@ -232,7 +225,7 @@ class TestReduceNondiagonal:
         model = fm.FactorModel(
             omega=model.omega, phi_cov=corr, xi=np.zeros(spec.n), mode="binary"
         )
-        _, dense_corr = fm.build_covariance(model)
+        dense_corr = fm.build_covariance(model)
         dense = sp.spectral_summary(dense_corr)
         w = np.sort(np.linalg.eigvalsh(dense_corr.psi))[::-1]
         assert np.allclose(eig.eigenvalues(), w, atol=1e-9)
@@ -276,7 +269,7 @@ class TestReduceNonbinary:
         phi = rand_spd_corr(rng, f)
         model = fm.FactorModel(omega=omega, phi_cov=phi, xi=np.zeros(n))
         eig = fm.reduce_nonbinary(model)
-        _, corr = fm.build_covariance(model)
+        corr = fm.build_covariance(model)
         w = np.sort(np.linalg.eigvalsh(corr.psi))[::-1]
         assert np.allclose(eig.eigenvalues(), w, atol=1e-9)
         dense = sp.spectral_summary(corr)
@@ -428,7 +421,7 @@ class TestNonbinaryBound:
         omega_t = omega @ np.linalg.cholesky(model.phi_cov)
         lam = omega_t / np.linalg.norm(omega_t, axis=1)[:, None]
         bound = fm.nonbinary_bound(lam)
-        dense = sp.spectral_summary(fm.build_covariance(model)[1])
+        dense = sp.spectral_summary(fm.build_covariance(model))
         assert bound.psi_star_est == pytest.approx(dense.psi1, rel=0.05)
         assert bound.rho_star_est == pytest.approx(dense.rho_star, rel=0.05)
 

@@ -56,7 +56,7 @@ class TestSpectralSummary:
     def test_two_block(self):
         # clusters (3, 1), no specific risk, independent factors
         spec = ClusterSpec.from_sizes([3, 1])
-        _, corr = build_covariance(spec.to_factor_model())
+        corr = build_covariance(spec.to_factor_model())
         summary = sp.spectral_summary(corr)
         # psi1 = 3, V1 uniform on the first three alphas
         assert summary.psi1 == pytest.approx(3.0, abs=1e-10)

@@ -129,7 +129,7 @@ class TestPanelGen:
         )
         model = sy.gen_model(config)
         panel = sy.gen_panel(model, 8000, 42)
-        _, corr = build_covariance(model)
+        corr = build_covariance(model)
         sample = np.corrcoef(panel.values.T)
         assert np.max(np.abs(sample - corr.psi)) < 0.08
 
@@ -155,7 +155,7 @@ class TestPanelGen:
                 phi_range=(0.8, 1.4), xi_range=(0.3, 0.7),
             )
             model = sy.gen_model(config)
-            _, corr = build_covariance(model)
+            corr = build_covariance(model)
             true_top = np.linalg.eigvalsh(corr.psi)[-1]
             panel = sy.gen_panel(model, 10_000, seed + 500)
             top = np.linalg.eigvalsh(np.corrcoef(panel.values.T))[-1]
