@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .eigen import PSD_TOL
+from .eigen import noise_floor
 from .factor_model import binary_loadings
 from .panel import format_csv, read_csv
 
@@ -105,7 +105,7 @@ def residual_correlation_sweep(corr, k_max):
             "correlation matrix is not positive definite; deform it first"
         )
     w, v = corr.spectrum
-    rank_used = int(np.sum(w > PSD_TOL * max(w[-1], 1.0)))
+    rank_used = int(np.sum(w > noise_floor(w)))
     order = np.argsort(w)[::-1]
 
     i0, i1 = np.triu_indices(n, 1)

@@ -1,6 +1,6 @@
-"""The rules shared by every consumer of a correlation matrix's spectrum:
-positive definiteness, the tie rule for a degenerate top eigenspace, and
-the guard on a top eigenvector found without the full eigendecomposition.
+"""The rules shared by every consumer of a correlation matrix's spectrum,
+each decided here once: the noise floor, the tie rule for a degenerate top
+eigenspace, and the guard on a top eigenvector found by power iteration.
 
 The spectrum itself is computed and cached on ``CorrelationMatrix``. A top
 eigenpair is read from the full eigendecomposition with
@@ -14,8 +14,7 @@ import math
 
 import numpy as np
 
-# Relative eigenvalue floor below which a correlation matrix is treated as
-# not positive definite.
+# Relative eigenvalue floor: see noise_floor.
 PSD_TOL = 1e-10
 
 # Relative gap below which eigenvalues are treated as a degenerate top
@@ -23,10 +22,14 @@ PSD_TOL = 1e-10
 DEGEN_TOL = 1e-10
 
 
+def noise_floor(w):
+    """Eigenvalues of ascending w at or below this count as zero."""
+    return PSD_TOL * max(w[-1], 1.0)
+
+
 def is_positive_definite(w):
-    """The PSD rule on ascending eigenvalues w: the smallest must exceed
-    PSD_TOL times max(largest, 1)."""
-    return bool(w[0] > PSD_TOL * max(w[-1], 1.0))
+    """The PSD rule: the smallest of ascending eigenvalues w exceeds the noise floor."""
+    return bool(w[0] > noise_floor(w))
 
 
 def top_multiplicity(w):

@@ -381,21 +381,15 @@ def _check_total_variance(var):
         raise ValidationError(f"alpha {bad[0]} has {kind} total variance")
 
 
-def _binary_top(spec):
-    """Index (0-based) of the cluster with the largest single-multiplicity
-    eigenvalue; ties broken by larger size, then lower index."""
-    psi_a = (spec.xi**2 + spec.sizes * spec.phi) / (spec.xi**2 + spec.phi)
-    order = sorted(
-        range(spec.f), key=lambda a: (-psi_a[a], -spec.sizes[a], a)
-    )
-    return order[0], psi_a
-
-
 def binary_eigensystem(spec):
     """Closed-form eigenvalues of the binary-cluster correlation matrix:
-    one (xi^2 + N_A phi) / (xi^2 + phi) per cluster plus xi^2 / (xi^2 + phi)
-    with multiplicity N_A - 1."""
-    top, psi_a = _binary_top(spec)
+    one psi_A = (xi^2 + N_A phi) / (xi^2 + phi) per cluster plus
+    xi^2 / (xi^2 + phi) with multiplicity N_A - 1, and rho_star =
+    psi_A sqrt(N_A) / N^(3/2) of the largest psi_A, ties broken by larger
+    N_A, then lower index: the one exception to eigen.top_eigenvector's tie
+    rule, giving F^(-3/2) at F equal clusters where the rule gives 1/F."""
+    psi_a = (spec.xi**2 + spec.sizes * spec.phi) / (spec.xi**2 + spec.phi)
+    top = min(range(spec.f), key=lambda a: (-psi_a[a], -spec.sizes[a], a))
     psi_t = spec.xi**2 / (spec.xi**2 + spec.phi)
     values = [(float(psi_a[a]), 1) for a in range(spec.f)]
     values += [
@@ -403,17 +397,14 @@ def binary_eigensystem(spec):
         for a in range(spec.f)
         if spec.sizes[a] > 1
     ]
-    rho, _ = rho_star_binary(spec)
+    rho = float(psi_a[top] * math.sqrt(spec.sizes[top]) / spec.n**1.5)
     return EigenStructure(values=values, rho_star=rho, top_cluster=top + 1)
 
 
 def rho_star_binary(spec):
-    """Turnover-reduction coefficient of the binary model: the top cluster's
-    eigenvalue times sqrt(N_A) / N^(3/2)."""
-    top, psi_a = _binary_top(spec)
-    n = spec.n
-    rho = float(psi_a[top] * math.sqrt(spec.sizes[top]) / n**1.5)
-    return rho, top + 1
+    """(rho_star, top_cluster) of binary_eigensystem(spec)."""
+    eig = binary_eigensystem(spec)
+    return eig.rho_star, eig.top_cluster
 
 
 def optimal_allocation(n, f):
@@ -458,19 +449,17 @@ def reduce_nondiagonal(sizes, factor_corr):
 def _reduced_structure(w, n, lifted_sum):
     """EigenStructure of an N x N correlation matrix of rank F from the
     ascending eigenvalues w of its reduced F x F problem; lifted_sum(k) is
-    the component sum of the unit N-space eigenvector lifted from pair k."""
+    the component sum of the unit N-space eigenvector lifted from pair k.
+    |sum V1| is the length of the uniform vector's projection onto the top
+    eigenspace, eigen.top_eigenvector's tie rule in any basis; at most 1e-8,
+    where that rule takes any eigenvector, both give rho_star <= 1e-8 psi1/N^1.5."""
     f = len(w)
-    top = int(np.argmax(w))
-    rho = float(w[top] * abs(lifted_sum(top)) / n**1.5)
+    top = range(f - eigen.top_multiplicity(w), f)
+    rho = float(w[-1] * math.hypot(*(lifted_sum(k) for k in top)) / n**1.5)
     values = [(float(x), 1) for x in w[::-1]]
     if n > f:
         values.append((0.0, n - f))
-    order = np.argsort(w)[::-1]
-    return EigenStructure(
-        values=values,
-        rho_star=rho,
-        top_cluster=int(np.where(order == top)[0][0]) + 1,
-    )
+    return EigenStructure(values=values, rho_star=rho, top_cluster=1)
 
 
 def _loadings_gram(model):
@@ -486,7 +475,7 @@ def _loadings_gram(model):
     _check_total_variance(sig)
     lam = omega_t / sig[:, None]
     w, vecs = np.linalg.eigh(lam.T @ lam)
-    if w[0] <= 1e-10 * max(w[-1], 1.0):
+    if not eigen.is_positive_definite(w):
         small = vecs[:, 0]
         cols = np.argsort(-np.abs(small))[:2]
         raise ValidationError(
@@ -511,8 +500,9 @@ def deflated_eigenvalues(model):
     where G = N.
 
     Alphas with byte-identical (xi_i, Omega_i) rows, -0.0 taken as 0.0,
-    form the groups. For groups g and h in clusters a and b, psi's entries
-    between them are M_gh = Phi_ab / (s_g s_h) with s_g^2 = xi_g^2 + Phi_aa,
+    form the groups. With each group's row scaled by _unit_rows, r_g on its
+    loading, psi's entries between groups g and h in clusters a and b are
+    M_gh = r_g Phi_ab r_h / (s_g s_h) with s_g^2 = (r_g xi_g)^2 + r_g Phi_aa r_g,
     averaged with the transpose: the operations build_covariance applies to
     one-hot loadings, so M holds psi's entries bit for bit. Then
     psi = E M E^T + diag(1 - M_gg) with E the group indicators, so a group
@@ -531,9 +521,11 @@ def deflated_eigenvalues(model):
     if len(first) == model.n:
         return None
     cluster = np.argmax(model.omega[first], axis=1)
-    # + 0.0 as in build_covariance, whose diag(xi^2) + ... turns -0.0 into 0.0
-    phi = model.phi_cov[np.ix_(cluster, cluster)] + 0.0
-    s = np.sqrt(model.xi[first] ** 2 + np.diag(phi))
+    unit = _unit_rows(rows[first])
+    r = unit[np.arange(len(first)), cluster + 1]
+    # scaled and + 0.0 as in build_covariance, whose diag(xi^2) + ... turns -0.0 to 0.0
+    phi = r[:, None] * model.phi_cov[np.ix_(cluster, cluster)] * r[None, :] + 0.0
+    s = np.sqrt(unit[:, 0] ** 2 + np.diag(phi))
     m = phi / np.outer(s, s)
     m = (m + m.T) / 2.0
     d = 1.0 - np.diag(m)

@@ -432,10 +432,10 @@ def canonicalize_signs(corr):
 
 def deform_correlation(corr):
     """Make a correlation matrix positive definite by replacing every
-    eigenvalue at or below 1e-10 * lambda_max (the noise floor) with the
-    smallest eigenvalue above it, then rescaling to unit diagonal."""
+    eigenvalue at or below eigen.noise_floor with the smallest eigenvalue
+    above it, then rescaling to unit diagonal."""
     w, v = corr.spectrum
-    keep = w > 1e-10 * w[-1]
+    keep = w > eigen.noise_floor(w)
     if not keep.any():
         raise ValidationError("all eigenvalues lie below the noise floor")
     w_new = np.where(keep, w, w[keep].min())

@@ -669,13 +669,22 @@ class TestModel:
         ({"mode": "binary", "assignment": [1, 2, 2], "phi": [1, 1], "xi": [1, 1e200, 1]},
          {"mode": "dense", "omega": [[1, 0], [0, 1e-200], [0, 1]], "phi": [1, 1],
           "xi": [1, 1, 1]}),
-    ], ids=["tiny", "tiny-xi", "huge", "huge-xi", "binary-dense"])
-    def test_tiny_or_huge_rows(self, tmp_path, doc, unit):
+        # repeated alphas, whose G x G block is gathered from Phi
+        ({"mode": "binary", "sizes": [2, 2], "phi": [[1e308, 5e307], [5e307, 1e308]],
+          "xi": [1e154] * 4},
+         {"mode": "binary", "sizes": [2, 2], "phi": [[1, 0.5], [0.5, 1]], "xi": [1] * 4}),
+        ({"mode": "binary", "sizes": [2, 2], "phi": [[1, 0.5], [0.5, 1]], "xi": [1e308, 1, 1, 1]},
+         {"mode": "dense", "omega": [[1e-308, 0], [1, 0], [0, 1], [0, 1]],
+          "phi": [[1, 0.5], [0.5, 1]], "xi": [1] * 4}),
+    ], ids=["tiny", "tiny-xi", "huge", "huge-xi", "binary-dense", "binary-huge-phi",
+            "binary-huge-xi"])
+    def test_tiny_or_huge_rows(self, tmp_path, capsys, doc, unit):
         path = self._write_model(tmp_path, doc)
         out = tmp_path / "eig.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(["model", str(path), "--op", "eigen", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
         got = json.loads(out.read_text())
         corr = fm.build_covariance(fm.FactorModel.from_doc(unit))
         w = np.linalg.eigvalsh(corr.psi)

@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from alphaturn import factor_model as fm
 from alphaturn import spectral as sp
@@ -284,7 +283,7 @@ class TestReduceNonbinary:
         phi = rand_spd_corr(rng, f)
         model = fm.FactorModel(omega=omega, phi_cov=phi, xi=np.zeros(n))
         eig = fm.reduce_nonbinary(model)
-        root = scipy.linalg.sqrtm(phi).real
+        root = pytest.importorskip("scipy.linalg").sqrtm(phi).real
         omega_t = omega @ root
         sig = np.linalg.norm(omega_t, axis=1)
         lam = omega_t / sig[:, None]

@@ -6,7 +6,8 @@ cached spectrum, the top pair from the eigenvalues alone is eigh's, the
 packed residual sweep is the N x N one bit for bit, the dense model path
 gives what eigh of the assembled matrix gives, with a binary model's
 repeated alphas deflated too, a deflated block gathered from Phi gives
-what one read from the assembled matrix gives, the model-document check
+what one read from the assembled matrix gives, the reduced model solvers
+give eigh's rho_star at a tied top, the model-document check
 reports what jsonschema reports, _cluster_xi gives what a per-cluster loop
 gives, the F-test's cluster-mean F-statistics give what one least-squares
 fit per time step gives, and the np.loadtxt panel and correlation loaders
@@ -16,7 +17,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -702,6 +703,10 @@ def binary_models(draw):
 
 @settings(deadline=None)
 @given(model=binary_models())
+# rows whose squares overflow: xi^2 + Phi_aa is 2e308 unscaled
+@example(model=fm.FactorModel.from_doc(
+    {"mode": "binary", "sizes": [2, 2], "phi": [[1e308, 5e307], [5e307, 1e308]],
+     "xi": [1e154] * 4}))
 def test_deflation_from_phi_matches_deflation_from_psi(model):
     """A binary model's G x G block gathered from Phi gives, bit for bit,
     the eigenvalues that the block read from the assembled matrix (and
@@ -718,6 +723,71 @@ def test_dense_loadings_not_deflated():
     model = tied_top_model()
     assert reference.deflated_eigenvalues(model, fm.build_covariance(model)) is not None
     assert fm.deflated_eigenvalues(model) is None
+
+
+@st.composite
+def tied_reduced_models(draw):
+    """Models for the two reduced solvers whose top eigenvalue is tied
+    exactly, k copies of one block: binary models with zero specific risk
+    on a block-diagonal Phi of k copies of a correlation block of 2-4
+    clusters, each copy with the same cluster sizes; and dense loadings
+    with zero specific risk, k copies of one loadings block on a
+    block-diagonal Phi. A block has positive entries, so each copy's top
+    eigenvector is positive and the uniform vector's projection onto the
+    top eigenspace is at least 1; or, for binary models, it is
+    [[1, -r], [-r, 1]] on two equal clusters, whose top eigenvector sums to
+    zero. Every copy's top eigenvalue lies clear of its next one."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        if draw(st.booleans()):
+            m = draw(st.integers(2, 4))
+            b = rng.uniform(0.2, 1.0, (m, m)) + np.eye(m)
+            block = pm.unit_diagonal(b @ b.T)
+            sizes = rng.integers(1, 6, m)
+        else:
+            r = rng.uniform(0.1, 0.9)
+            block = np.array([[1.0, -r], [-r, 1.0]])
+            sizes = np.full(2, rng.integers(1, 6))
+        w = np.linalg.eigvalsh(block * np.sqrt(np.outer(sizes, sizes)))
+        doc = {"mode": "binary", "sizes": np.tile(sizes, k).tolist(),
+               "phi": np.kron(np.eye(k), block).tolist()}
+    else:
+        n = draw(st.integers(2, 6))
+        f = draw(st.integers(1, min(n, 3)))
+        omega = rng.uniform(0.1, 1.0, (n, f))
+        b = rng.uniform(0.0, 1.0, (f, f)) + np.eye(f)
+        phi = b @ b.T
+        w = np.linalg.eigvalsh(pm.unit_diagonal(omega @ phi @ omega.T))
+        doc = {"mode": "dense", "omega": np.kron(np.eye(k), omega).tolist(),
+               "phi": np.kron(np.eye(k), phi).tolist()}
+    assume(w[-1] - w[-2] > 1e-6 * w[-1])
+    return fm.FactorModel.from_doc(doc)
+
+
+@settings(deadline=None)
+@given(model=tied_reduced_models())
+@example(model=fm.FactorModel.from_doc(
+    {"mode": "binary", "sizes": [1, 1, 1, 1],
+     "phi": [[1, 0.5, 0, 0], [0.5, 1, 0, 0], [0, 0, 1, 0.5], [0, 0, 0.5, 1]]}))
+@example(model=fm.FactorModel.from_doc(
+    {"mode": "dense", "omega": [[1, 0], [1, 0], [0, 1], [0, 1]], "phi": [1, 1]}))
+def test_reduced_solvers_apply_the_tie_rule(model):
+    """At a tied top, closed-form-nondiagonal and reduced-nonbinary keep their
+    method and give the rho_star of the dense oracle, which applies
+    eigen.top_eigenvector's tie rule, with top_cluster 1; where the
+    uniform vector's projection onto the top eigenspace vanishes, both lie
+    below 1e-8 psi1 / N^(3/2)."""
+    structure, method = fm.model_eigenstructure(model)
+    assert method == ("closed-form-nondiagonal" if model.mode == "binary"
+                      else "reduced-nonbinary")
+    assert structure.top_cluster == 1
+    want = sp.spectral_summary(fm.build_covariance(model))
+    floor = 1e-8 * want.psi1 / model.n**1.5
+    if want.rho_star > floor:
+        assert structure.rho_star == pytest.approx(want.rho_star, rel=1e-12, abs=0)
+    else:
+        assert structure.rho_star <= floor
 
 
 def loop_cluster_xi(model):
