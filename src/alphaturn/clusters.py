@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .eigen import noise_floor
-from .factor_model import binary_loadings
+from .factor_model import binary_loadings, cluster_ids
 from .panel import format_csv, read_csv
 
 # Residual variance below which a sweep step is skipped.
@@ -191,8 +191,7 @@ def load_loadings(path, labels):
 
 def _check_binary_loadings(omega, name):
     omega = np.asarray(omega, dtype=float)
-    if not np.isin(omega, (0.0, 1.0)).all() or not np.all(omega.sum(axis=1) == 1.0):
-        raise ValidationError(f"{name}: rows must assign each alpha to exactly one cluster")
+    cluster_ids(omega, name)
     empty = np.where(omega.sum(axis=0) == 0)[0]
     if empty.size:
         raise ValidationError(f"{name}: cluster column {empty[0] + 1} is empty")

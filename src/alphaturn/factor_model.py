@@ -53,6 +53,14 @@ def binary_loadings(assignment, f):
     return omega
 
 
+def cluster_ids(omega, name):
+    """1-based cluster id of each row of the loadings `omega`, which must
+    hold 0s and one 1; else ValidationError naming `name`."""
+    if not np.isin(omega, (0.0, 1.0)).all() or not np.all(omega.sum(axis=1) == 1.0):
+        raise ValidationError(f"{name}: rows must assign each alpha to exactly one cluster")
+    return np.argmax(omega, axis=1) + 1
+
+
 @dataclass
 class ClusterSpec:
     """Binary cluster layout: sizes, 1-based assignment, per-cluster factor
@@ -75,10 +83,6 @@ class ClusterSpec:
             raise ValidationError("phi must be positive, one per cluster")
         if self.xi.shape != (f,) or np.any(self.xi < 0):
             raise ValidationError("xi must be nonnegative, one per cluster")
-        with np.errstate(over="ignore"):  # xi^2 + N_A phi: a cluster's eigenvalue numerator
-            bad = np.flatnonzero(~np.isfinite(self.xi**2 + self.sizes * self.phi))
-        if bad.size:
-            raise ValidationError(f"cluster {bad[0] + 1}: xi^2 + N_A phi overflows")
         counts = np.bincount(self.assignment - 1, minlength=f)
         if len(counts) != f or not np.array_equal(counts, self.sizes):
             raise ValidationError("assignment counts do not match sizes")
@@ -102,10 +106,11 @@ class ClusterSpec:
     def f(self):
         return len(self.sizes)
 
-    def to_factor_model(self):
+    def to_factor_model(self, phi_cov=None):
+        """The binary FactorModel of this layout on Phi = phi_cov, by default diag(phi)."""
         return FactorModel(
             omega=binary_loadings(self.assignment, self.f),
-            phi_cov=np.diag(self.phi),
+            phi_cov=np.diag(self.phi) if phi_cov is None else phi_cov,
             xi=self.xi[self.assignment - 1],
             mode="binary",
         )
@@ -116,13 +121,16 @@ class FactorModel:
     """Loadings, factor covariance and specific risks; assembles
     Gamma = diag(xi^2) + Omega Phi Omega^T. `phi_chol` is the lower
     Cholesky factor of Phi, computed once by the positive-definiteness
-    check."""
+    check. A binary model's cluster ids, `assignment` (1-based), and cluster
+    `sizes` are read once from its loadings; a dense model has None."""
 
     omega: np.ndarray
     phi_cov: np.ndarray
     xi: np.ndarray
     mode: str = "dense"
     phi_chol: np.ndarray = field(init=False, repr=False)
+    assignment: np.ndarray = field(default=None, init=False, repr=False)
+    sizes: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.omega = np.asarray(self.omega, dtype=float)
@@ -147,11 +155,8 @@ class FactorModel:
         if self.xi.shape != (n,) or np.any(self.xi < 0):
             raise ValidationError("specific risks must be nonnegative, one per alpha")
         if self.mode == "binary":
-            binary = np.isin(self.omega, (0.0, 1.0)).all()
-            if not binary or not np.all(self.omega.sum(axis=1) == 1.0):
-                raise ValidationError(
-                    "binary mode requires exactly one unit entry per loadings row"
-                )
+            self.assignment = cluster_ids(self.omega, "loadings")
+            self.sizes = np.bincount(self.assignment - 1, minlength=f)
 
     @property
     def n(self):
@@ -160,16 +165,6 @@ class FactorModel:
     @property
     def f(self):
         return self.omega.shape[1]
-
-    @property
-    def assignment(self):
-        """1-based cluster id of each alpha (binary models)."""
-        return np.argmax(self.omega, axis=1) + 1
-
-    @property
-    def sizes(self):
-        """Number of alphas in each cluster (binary models)."""
-        return np.bincount(self.assignment - 1, minlength=self.f)
 
     def to_json(self):
         doc = {
@@ -387,10 +382,16 @@ def binary_eigensystem(spec):
     xi^2 / (xi^2 + phi) with multiplicity N_A - 1, and rho_star =
     psi_A sqrt(N_A) / N^(3/2) of the largest psi_A, ties broken by larger
     N_A, then lower index: the one exception to eigen.top_eigenvector's tie
-    rule, giving F^(-3/2) at F equal clusters where the rule gives 1/F."""
-    psi_a = (spec.xi**2 + spec.sizes * spec.phi) / (spec.xi**2 + spec.phi)
+    rule, giving F^(-3/2) at F equal clusters where the rule gives 1/F.
+    Each cluster's xi and sqrt(phi) are first scaled exactly by the power of
+    two that brings the larger into [0.5, 1), as _unit_rows scales a row,
+    so the sums hold at most about N_A and the ratios are as unscaled."""
+    e = np.frexp(np.maximum(spec.xi, np.sqrt(spec.phi)))[1]
+    xi2 = np.ldexp(spec.xi, -e) ** 2
+    phi = np.ldexp(spec.phi, -2 * e)
+    psi_a = (xi2 + spec.sizes * phi) / (xi2 + phi)
     top = min(range(spec.f), key=lambda a: (-psi_a[a], -spec.sizes[a], a))
-    psi_t = spec.xi**2 / (spec.xi**2 + spec.phi)
+    psi_t = xi2 / (xi2 + phi)
     values = [(float(psi_a[a]), 1) for a in range(spec.f)]
     values += [
         (float(psi_t[a]), int(spec.sizes[a] - 1))
@@ -520,7 +521,7 @@ def deflated_eigenvalues(model):
                                           return_counts=True)
     if len(first) == model.n:
         return None
-    cluster = np.argmax(model.omega[first], axis=1)
+    cluster = model.assignment[first] - 1
     unit = _unit_rows(rows[first])
     r = unit[np.arange(len(first)), cluster + 1]
     # scaled and + 0.0 as in build_covariance, whose diag(xi^2) + ... turns -0.0 to 0.0

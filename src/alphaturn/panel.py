@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-import tempfile
 import warnings
 from dataclasses import dataclass
 
@@ -312,19 +311,16 @@ def save_panel(panel, path):
 
 
 def _atomic_write(path, text):
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    """Write `text` to a new file beside `path`, then rename it over `path`.
+    open() gives the new file the mode the umask leaves; "x" refuses an old one."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "x")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with fh:
             fh.write(text)
-        # mkstemp creates the file 0600; give it the mode open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .factor_model import ClusterSpec, FactorModel, binary_loadings, optimal_allocation
+from .factor_model import ClusterSpec, optimal_allocation
 from .panel import AlphaPanel, unit_diagonal
 
 
@@ -109,13 +109,7 @@ def gen_model(config):
             config.seed + 1, config.n_clusters, "uniform", float(config.factor_rho)
         )
     scale = np.sqrt(spec.phi)
-    phi_cov = corr * np.outer(scale, scale)
-    return FactorModel(
-        omega=binary_loadings(spec.assignment, spec.f),
-        phi_cov=phi_cov,
-        xi=spec.xi[spec.assignment - 1],
-        mode="binary",
-    )
+    return spec.to_factor_model(corr * np.outer(scale, scale))
 
 
 def gen_panel(model, n_obs, seed):

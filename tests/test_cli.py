@@ -625,6 +625,17 @@ class TestModel:
         assert out == ""
         return err
 
+    def _eigen(self, tmp_path, capsys, doc):
+        """`model --op eigen` output of a model document that must exit 0
+        without a warning."""
+        path = self._write_model(tmp_path, doc)
+        out = tmp_path / "eig.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["model", str(path), "--op", "eigen", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        return json.loads(out.read_text())
+
     # each row is scaled into [0.5, 1) before it is squared, so a variance
     # overflows only through Phi: eight factors of variance 1.7e308 on a
     # row of ones sum to 3.4e308
@@ -638,10 +649,7 @@ class TestModel:
         ({"mode": "dense", "omega": [[1] + [0] * 7, [1] * 8], "phi": [1.7e308] * 8,
           "xi": [1, 1]},
          "alpha 1 has non-finite (overflowing) total variance"),
-        # the binary closed form
-        ({"mode": "binary", "sizes": [2, 2], "phi": [1, 1], "xi": [1, 1, 1e200, 1e200]},
-         "cluster 2: xi^2 + N_A phi overflows"),
-    ], ids=["gram-one", "gram-both", "dense", "binary-closed-form"])
+    ], ids=["gram-one", "gram-both", "dense"])
     def test_overflowing_variance_exit_2(self, tmp_path, capsys, doc, message):
         assert self._exit_2(tmp_path, capsys, doc) == f"error: {message}\n"
 
@@ -676,21 +684,34 @@ class TestModel:
         ({"mode": "binary", "sizes": [2, 2], "phi": [[1, 0.5], [0.5, 1]], "xi": [1e308, 1, 1, 1]},
          {"mode": "dense", "omega": [[1e-308, 0], [1, 0], [0, 1], [0, 1]],
           "phi": [[1, 0.5], [0.5, 1]], "xi": [1] * 4}),
+        # the binary closed form, where xi^2 + N_A phi overflows unscaled
+        ({"mode": "binary", "sizes": [2, 2], "phi": [1, 1], "xi": [1, 1, 1e200, 1e200]},
+         {"mode": "dense", "omega": [[1, 0], [1, 0], [0, 1e-200], [0, 1e-200]],
+          "phi": [1, 1], "xi": [1] * 4}),
     ], ids=["tiny", "tiny-xi", "huge", "huge-xi", "binary-dense", "binary-huge-phi",
-            "binary-huge-xi"])
+            "binary-huge-xi", "binary-closed-form"])
     def test_tiny_or_huge_rows(self, tmp_path, capsys, doc, unit):
-        path = self._write_model(tmp_path, doc)
-        out = tmp_path / "eig.json"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert run(["model", str(path), "--op", "eigen", "--out", str(out)]) == 0
-        assert capsys.readouterr().err == ""
-        got = json.loads(out.read_text())
+        got = self._eigen(tmp_path, capsys, doc)
         corr = fm.build_covariance(fm.FactorModel.from_doc(unit))
         w = np.linalg.eigvalsh(corr.psi)
-        np.testing.assert_allclose([v["value"] for v in got["values"]], w[::-1], rtol=0,
-                                   atol=1e-12 * w[-1])
+        # the closed form lists each cluster's values, the other paths descend
+        values = sorted((v["value"] for v in got["values"] for _ in range(v["mult"])),
+                        reverse=True)
+        np.testing.assert_allclose(values, w[::-1], rtol=0, atol=1e-12 * w[-1])
         assert got["rho_star"] == pytest.approx(sp.spectral_summary(corr).rho_star, rel=1e-12)
+
+    def test_huge_tied_clusters_closed_form(self, tmp_path, capsys):
+        # xi^2 + N_A phi overflows unscaled. The top eigenvalue is tied
+        # between the clusters, where the closed form takes one cluster's
+        # eigenvector (binary_eigensystem), so it is checked against the
+        # closed form at unit scale rather than against the dense path.
+        doc = {"mode": "binary", "sizes": [2, 2], "phi": [1e308, 1e308], "xi": [1e154] * 4}
+        unit = {"mode": "binary", "sizes": [2, 2], "phi": [1, 1], "xi": [1] * 4}
+        got = self._eigen(tmp_path, capsys, doc)
+        assert got["method"] == "closed-form-binary"
+        assert [v["value"] for v in got["values"]] == [1.5, 1.5, 0.5, 0.5]
+        want, _ = fm.model_eigenstructure(fm.FactorModel.from_doc(unit))
+        assert got["rho_star"] == pytest.approx(want.rho_star, rel=1e-12)
 
     @pytest.mark.parametrize("key", ["sizes", "assignment"])
     def test_count_beyond_int64_exit_2(self, tmp_path, capsys, key):

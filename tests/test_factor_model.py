@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from alphaturn import clusters as cl
 from alphaturn import factor_model as fm
+from alphaturn import panel as pm
 from alphaturn import spectral as sp
 from alphaturn.errors import ValidationError
 
@@ -71,6 +73,27 @@ class TestBuildCovariance:
         np.testing.assert_array_equal(model.sizes, [2, 1])
         np.testing.assert_array_equal(model.omega, fm.binary_loadings([1, 1, 2], 2))
         np.testing.assert_array_equal(model.xi, np.zeros(3))
+
+    def test_dense_model_has_no_layout(self):
+        model = fm.FactorModel(omega=np.eye(2), phi_cov=np.eye(2), xi=np.zeros(2))
+        assert model.assignment is None and model.sizes is None
+
+    # each row breaks the one-hot rule: a fraction, a negative entry, two
+    # ones, no one
+    @pytest.mark.parametrize("row", [[0.5, 0.5], [-1.0, 0.0], [1.0, 1.0], [0.0, 0.0]],
+                             ids=["half", "negative", "two-ones", "no-one"])
+    def test_one_hot_rule_shared(self, row):
+        omega = np.array([[1.0, 0.0], [0.0, 1.0], row])
+        message = "rows must assign each alpha to exactly one cluster"
+        with pytest.raises(ValidationError, match=f"^loadings: {message}$"):
+            fm.FactorModel(omega=omega, phi_cov=np.eye(2), xi=np.zeros(3), mode="binary")
+        panel = pm.AlphaPanel(labels=["a0", "a1", "a2"], times=["t0", "t1"],
+                              values=np.arange(6.0).reshape(2, 3))
+        good = fm.binary_loadings([1, 2, 2], 2)
+        with pytest.raises(ValidationError, match=f"^omega_old: {message}$"):
+            cl.new_cluster_ftest(panel, omega, panel, good)
+        with pytest.raises(ValidationError, match=f"^omega_new: {message}$"):
+            cl.new_cluster_ftest(panel, good, panel, omega)
 
     def test_phi_factor_kept(self):
         phi = rand_spd_corr(np.random.default_rng(4), 3)

@@ -191,6 +191,23 @@ class TestAtomicWrite:
         assert stat.S_IMODE(os.stat(tmp_path / "out.txt").st_mode) == mode
         assert [f.name for f in tmp_path.iterdir()] == ["out.txt"]
 
+    def test_umask_left_alone(self, tmp_path, monkeypatch):
+        # reading the umask by setting it changes it for every thread
+        def umask(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", umask)
+        pm._atomic_write(tmp_path / "out.txt", "x\n")
+        assert (tmp_path / "out.txt").read_text() == "x\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_failed_write_leaves_target_and_no_temp_file(self, tmp_path):
+        (tmp_path / "out.txt").write_text("old\n")
+        with pytest.raises(TypeError):
+            pm._atomic_write(tmp_path / "out.txt", None)
+        assert (tmp_path / "out.txt").read_text() == "old\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["out.txt"]
+
 
 class TestPairwiseCorrelation:
     def _panel(self, cols, labels=None):

@@ -820,6 +820,20 @@ def test_cluster_xi_matches_per_cluster_loop(f, data):
         assert_same_bits(got, want)
 
 
+@given(f=st.integers(1, 5), empty=st.integers(0, 2), data=st.data())
+def test_binary_layout_matches_loadings(f, empty, data):
+    """A binary model's assignment and sizes are the argmax + 1 and the
+    bincount of its one-hot loadings, with `empty` clusters that hold no
+    alpha."""
+    assignment = data.draw(st.lists(st.integers(1, f), min_size=1, max_size=12))
+    omega = fm.binary_loadings(assignment, f + empty)
+    model = fm.FactorModel(omega=omega, phi_cov=np.eye(f + empty),
+                           xi=np.zeros(len(assignment)), mode="binary")
+    ids = np.argmax(omega, axis=1)
+    assert np.array_equal(model.assignment, ids + 1)
+    assert np.array_equal(model.sizes, np.bincount(ids, minlength=f + empty))
+
+
 def per_time_fstats(values, omega):
     """The per-time loop that _cluster_mean_fstats replaced: a time step is
     usable when it observes more alphas than clusters and every cluster, and
