@@ -92,12 +92,10 @@ def cmd_clusters(args):
 
 def cmd_model(args):
     model = fm.FactorModel.from_doc(_read_json_object(args.input, "model"))
-    if args.op == "eigen":
+    if args.op in ("eigen", "rho-star"):
         structure, method = model_eigenstructure(model)
-        _emit(json.dumps({**structure.to_dict(), "method": method}), args.out)
-    elif args.op == "rho-star":
-        structure, method = model_eigenstructure(model)
-        _emit(json.dumps({"rho_star": structure.rho_star, "method": method}), args.out)
+        doc = structure.to_dict() if args.op == "eigen" else {"rho_star": structure.rho_star}
+        _emit(json.dumps({**doc, "method": method}), args.out)
     elif args.op == "rho-curve":
         if model.mode != "binary":
             raise ValidationError("rho-curve requires a binary model")

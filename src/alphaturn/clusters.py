@@ -10,8 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .eigen import noise_floor
-from .factor_model import binary_loadings, cluster_ids
+from .factor_model import binary_loadings
 from .panel import format_csv, read_csv
 
 # Residual variance below which a sweep step is skipped.
@@ -105,7 +104,6 @@ def residual_correlation_sweep(corr, k_max):
             "correlation matrix is not positive definite; deform it first"
         )
     w, v = corr.spectrum
-    rank_used = int(np.sum(w > noise_floor(w)))
     order = np.argsort(w)[::-1]
 
     i0, i1 = np.triu_indices(n, 1)
@@ -124,7 +122,8 @@ def residual_correlation_sweep(corr, k_max):
         ks.append(k)
         z1s.append(float(np.mean(vals)))
         z2s.append(float(_median(vals)))
-    return SweepCurve(ks=ks, zeta1=z1s, zeta2=z2s, rank_used=rank_used, skipped=skipped)
+    # positive definite: every eigenvalue clears the noise floor
+    return SweepCurve(ks=ks, zeta1=z1s, zeta2=z2s, rank_used=n, skipped=skipped)
 
 
 def _median(vals):
@@ -189,13 +188,15 @@ def load_loadings(path, labels):
     return binary_loadings(assignment, int(assignment.max()))
 
 
-def _check_binary_loadings(omega, name):
-    omega = np.asarray(omega, dtype=float)
-    cluster_ids(omega, name)
+def cluster_ids(omega, name):
+    """1-based cluster id of each row of binary loadings `omega`: 0s, one 1
+    per row and a 1 in every column; else ValidationError naming `name`."""
+    if not np.isin(omega, (0.0, 1.0)).all() or not np.all(omega.sum(axis=1) == 1.0):
+        raise ValidationError(f"{name}: rows must assign each alpha to exactly one cluster")
     empty = np.where(omega.sum(axis=0) == 0)[0]
     if empty.size:
         raise ValidationError(f"{name}: cluster column {empty[0] + 1} is empty")
-    return omega
+    return np.argmax(omega, axis=1) + 1
 
 
 def winsorize(series, quantile):
@@ -208,14 +209,15 @@ def winsorize(series, quantile):
     return np.clip(s, lo, hi)
 
 
-def _cluster_mean_fstats(values, omega):
+def _cluster_mean_fstats(values, omega, ids):
     """Through-origin F-statistics, (ESS/p) / (RSS/(n-p)), of every row of
-    `values` (times x alphas, NaN where missing) on binary loadings `omega`,
-    over each row's observed alphas. On binary loadings the fit is each
-    cluster's mean over its observed members, so three matrix products serve
-    every row. Returns (usable, F): a row is usable when it observes more
-    alphas than there are clusters and at least one member of every cluster;
-    F is NaN at the other rows and inf where RSS <= 0."""
+    `values` (times x alphas, NaN where missing) on binary loadings `omega`
+    with cluster_ids `ids`, over each row's observed alphas. On binary
+    loadings the fit is each cluster's mean over its observed members, so
+    three matrix products serve every row. Returns (usable, F): a row is
+    usable when it observes more alphas than there are clusters and at
+    least one member of every cluster; F is NaN at the other rows and inf
+    where RSS <= 0."""
     mask = ~np.isnan(values)
     p = omega.shape[1]
     nobs = mask.sum(axis=1)
@@ -223,7 +225,7 @@ def _cluster_mean_fstats(values, omega):
     usable = (nobs > p) & np.all(cnt > 0, axis=1)
     mask, cnt, nobs = mask[usable], cnt[usable], nobs[usable]
     y0 = np.where(mask, values[usable], 0.0)
-    yhat = np.where(mask, (y0 @ omega / cnt)[:, np.argmax(omega, axis=1)], 0.0)
+    yhat = np.where(mask, (y0 @ omega / cnt)[:, ids - 1], 0.0)
     ess = np.sum(yhat**2, axis=1)
     # from the residuals, not as sum(y^2) - ESS, which cancels
     rss = np.sum((y0 - yhat) ** 2, axis=1)
@@ -251,8 +253,8 @@ def new_cluster_ftest(panel, omega_old, panel_new, omega_new, winsor=0.05):
     clusters; a ValidationError is raised when every time step is skipped.
     `winsor` is checked by check_winsor."""
     check_winsor(winsor)
-    omega_old = _check_binary_loadings(omega_old, "omega_old")
-    omega_new = _check_binary_loadings(omega_new, "omega_new")
+    omega_old, omega_new = np.asarray(omega_old, dtype=float), np.asarray(omega_new, dtype=float)
+    ids_old, ids_new = cluster_ids(omega_old, "omega_old"), cluster_ids(omega_new, "omega_new")
     if list(panel.times) != list(panel_new.times):
         raise ValidationError("panels must share identical time labels")
     if omega_old.shape[0] != panel.n_alphas:
@@ -260,8 +262,8 @@ def new_cluster_ftest(panel, omega_old, panel_new, omega_new, winsor=0.05):
     if omega_new.shape[0] != panel_new.n_alphas:
         raise ValidationError("omega_new rows must match the new panel width")
 
-    usable_old, f_old = _cluster_mean_fstats(panel.values, omega_old)
-    usable_new, f_new = _cluster_mean_fstats(panel_new.values, omega_new)
+    usable_old, f_old = _cluster_mean_fstats(panel.values, omega_old, ids_old)
+    usable_new, f_new = _cluster_mean_fstats(panel_new.values, omega_new, ids_new)
     keep = usable_old & usable_new
     if not keep.any():
         raise ValidationError(

@@ -43,22 +43,19 @@ MODEL_SCHEMA = {
 }
 
 
-def binary_loadings(assignment, f):
-    """N x F indicator loadings of 1-based cluster ids."""
+def cluster_counts(assignment, f):
+    """Alphas in each of F clusters of 1-based cluster ids, each in 1..F."""
     assignment = np.asarray(assignment, dtype=int)
     if assignment.size and not 1 <= assignment.min() <= assignment.max() <= f:
         raise ValidationError(f"cluster ids must lie in 1..{f}")
+    return np.bincount(assignment - 1, minlength=f)
+
+
+def binary_loadings(assignment, f):
+    """N x F indicator loadings of 1-based cluster ids, each in 1..F."""
     omega = np.zeros((len(assignment), f))
-    omega[np.arange(len(assignment)), assignment - 1] = 1.0
+    omega[np.arange(len(assignment)), np.asarray(assignment) - 1] = 1.0
     return omega
-
-
-def cluster_ids(omega, name):
-    """1-based cluster id of each row of the loadings `omega`, which must
-    hold 0s and one 1; else ValidationError naming `name`."""
-    if not np.isin(omega, (0.0, 1.0)).all() or not np.all(omega.sum(axis=1) == 1.0):
-        raise ValidationError(f"{name}: rows must assign each alpha to exactly one cluster")
-    return np.argmax(omega, axis=1) + 1
 
 
 @dataclass
@@ -83,8 +80,7 @@ class ClusterSpec:
             raise ValidationError("phi must be positive, one per cluster")
         if self.xi.shape != (f,) or np.any(self.xi < 0):
             raise ValidationError("xi must be nonnegative, one per cluster")
-        counts = np.bincount(self.assignment - 1, minlength=f)
-        if len(counts) != f or not np.array_equal(counts, self.sizes):
+        if not np.array_equal(cluster_counts(self.assignment, f), self.sizes):
             raise ValidationError("assignment counts do not match sizes")
 
     @classmethod
@@ -109,42 +105,50 @@ class ClusterSpec:
     def to_factor_model(self, phi_cov=None):
         """The binary FactorModel of this layout on Phi = phi_cov, by default diag(phi)."""
         return FactorModel(
-            omega=binary_loadings(self.assignment, self.f),
             phi_cov=np.diag(self.phi) if phi_cov is None else phi_cov,
             xi=self.xi[self.assignment - 1],
-            mode="binary",
+            assignment=self.assignment,
         )
 
 
 @dataclass
 class FactorModel:
-    """Loadings, factor covariance and specific risks; assembles
-    Gamma = diag(xi^2) + Omega Phi Omega^T. `phi_chol` is the lower
-    Cholesky factor of Phi, computed once by the positive-definiteness
-    check. A binary model's cluster ids, `assignment` (1-based), and cluster
-    `sizes` are read once from its loadings; a dense model has None."""
+    """Factor covariance, specific risks, and dense loadings `omega` or, for
+    a binary model, only its 1-based cluster ids `assignment`: no N x F
+    array, as `loadings()` builds Omega on demand for Gamma = diag(xi^2) +
+    Omega Phi Omega^T. Building the model sets `mode`, a binary model's
+    cluster `sizes` (a dense model's sizes and assignment are None) and
+    `phi_chol`, Phi's lower Cholesky factor."""
 
-    omega: np.ndarray
     phi_cov: np.ndarray
     xi: np.ndarray
-    mode: str = "dense"
+    omega: np.ndarray = None
+    assignment: np.ndarray = None
+    mode: str = field(default="dense", init=False)
     phi_chol: np.ndarray = field(init=False, repr=False)
-    assignment: np.ndarray = field(default=None, init=False, repr=False)
     sizes: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.omega = np.asarray(self.omega, dtype=float)
         self.phi_cov = np.asarray(self.phi_cov, dtype=float)
         self.xi = np.asarray(self.xi, dtype=float)
-        if self.omega.ndim != 2:
-            raise ValidationError("loadings must be an N x F matrix")
-        n, f = self.omega.shape
+        if self.assignment is not None:
+            if self.omega is not None:
+                raise ValidationError("a model takes loadings or cluster ids, not both")
+            self.mode, self.assignment = "binary", np.asarray(self.assignment, dtype=int)
+            n, f = len(self.assignment), len(self.phi_cov)
+            self.sizes = cluster_counts(self.assignment, f)
+        else:
+            self.omega = np.asarray(self.omega, dtype=float)
+            if self.omega.ndim != 2:
+                raise ValidationError("loadings must be an N x F matrix")
+            n, f = self.omega.shape
         if n < 1 or f < 1:
             raise ValidationError(f"a model needs at least one alpha and one factor, "
                                   f"got N={n}, F={f}")
         if self.phi_cov.shape != (f, f):
             raise ValidationError("factor covariance shape does not match loadings")
-        if not all(np.isfinite(a).all() for a in (self.omega, self.phi_cov, self.xi)):
+        if not all(np.isfinite(a).all() for a in (self.omega, self.phi_cov, self.xi)
+                   if a is not None):
             raise ValidationError("loadings, factor covariance and specific risks must be finite")
         if np.max(np.abs(self.phi_cov - self.phi_cov.T)) > 1e-12:
             raise ValidationError("factor covariance must be symmetric")
@@ -154,17 +158,18 @@ class FactorModel:
             raise ValidationError("factor covariance must be positive definite") from None
         if self.xi.shape != (n,) or np.any(self.xi < 0):
             raise ValidationError("specific risks must be nonnegative, one per alpha")
-        if self.mode == "binary":
-            self.assignment = cluster_ids(self.omega, "loadings")
-            self.sizes = np.bincount(self.assignment - 1, minlength=f)
 
     @property
     def n(self):
-        return self.omega.shape[0]
+        return len(self.xi)
 
     @property
     def f(self):
-        return self.omega.shape[1]
+        return len(self.phi_cov)
+
+    def loadings(self):
+        """N x F Omega: `omega`, or a binary model's indicator loadings, built per call."""
+        return self.omega if self.assignment is None else binary_loadings(self.assignment, self.f)
 
     def to_json(self):
         doc = {
@@ -187,7 +192,7 @@ class FactorModel:
     def from_doc(cls, doc):
         """Model from a parsed model document, checked against MODEL_SCHEMA.
         A binary document gives its 1-based cluster ids as `assignment`, or
-        as `sizes` for consecutive runs of alphas; see _binary_doc_loadings."""
+        as `sizes` for consecutive runs of alphas; see _binary_doc_assignment."""
         violation = _schema_violation(doc)
         if violation:
             pointer, message = violation
@@ -196,37 +201,34 @@ class FactorModel:
         if phi.ndim == 1:
             phi = np.diag(phi)
         try:
-            if doc["mode"] == "binary":
-                omega = _binary_doc_loadings(doc, phi.shape[0])
-            else:
-                omega = _float_array(doc, "omega")
+            layout = ({"assignment": _binary_doc_assignment(doc, phi.shape[0])}
+                      if doc["mode"] == "binary" else {"omega": _float_array(doc, "omega")})
         except KeyError as exc:
             raise ValidationError(f"model schema violation at /{exc.args[0]}: missing") from None
-        xi = np.asarray(doc.get("xi", np.zeros(omega.shape[0])), dtype=float)
-        return cls(omega=omega, phi_cov=phi, xi=xi, mode=doc["mode"])
+        xi = np.asarray(doc.get("xi", np.zeros(len(*layout.values()))), dtype=float)
+        return cls(phi_cov=phi, xi=xi, **layout)
 
 
-def _binary_doc_loadings(doc, f):
-    """Loadings of a binary model document with F clusters. Its cluster ids
-    are `assignment`, or else consecutive runs of `sizes`; where both are
-    given they must agree, and each cluster must hold an alpha."""
+def _binary_doc_assignment(doc, f):
+    """1-based cluster ids of a binary model document with F clusters:
+    `assignment`, or else consecutive runs of `sizes`; where both are given
+    they must agree, and each cluster must hold an alpha."""
     sizes = doc.get("sizes")
     if "assignment" in doc or sizes is None:
-        assignment = doc["assignment"]
+        assignment = np.asarray(doc["assignment"], dtype=int)
     else:
         try:
             assignment = np.repeat(np.arange(1, len(sizes) + 1), np.asarray(sizes, dtype=int))
         except (MemoryError, ValueError):  # ValueError: N overflows int64
             raise ValidationError(
                 f"/sizes: N={sum(map(int, sizes))} alphas do not fit in memory") from None
-    omega = binary_loadings(assignment, f)
-    counts = np.count_nonzero(omega, axis=0)
+    counts = cluster_counts(assignment, f)
     if "assignment" in doc and sizes is not None and counts.tolist() != sizes:
         raise ValidationError(f"/sizes does not match /assignment's counts {counts.tolist()}")
     if not counts.all():
         raise ValidationError(
             f"cluster sizes must be positive: cluster {np.argmin(counts) + 1} has no alpha")
-    return omega
+    return assignment
 
 
 def _is_number(x):
@@ -353,7 +355,7 @@ def build_covariance(model):
     (spectrum not yet computed), assembled from the rows (xi_i, Omega_i)
     scaled by _unit_rows, so tiny or huge rows square without under- or
     overflow."""
-    rows = _unit_rows(np.column_stack([model.xi, model.omega]))
+    rows = _unit_rows(np.column_stack([model.xi, model.loadings()]))
     with np.errstate(over="ignore", invalid="ignore"):
         gamma = np.diag(rows[:, 0] ** 2) + rows[:, 1:] @ model.phi_cov @ rows[:, 1:].T
     _check_total_variance(np.diag(gamma))
@@ -463,14 +465,14 @@ def _reduced_structure(w, n, lifted_sum):
     return EigenStructure(values=values, rho_star=rho, top_cluster=1)
 
 
-def _loadings_gram(model):
-    """Row-normalized loadings lam = Omega L / |Omega L| (L the Cholesky
-    factor of Phi) of a zero-specific-risk model, with the ascending
-    eigenpairs of their F x F Gram matrix lam^T lam; Omega's rows are
-    scaled by _unit_rows first, which leaves lam as it is."""
+def reduce_nonbinary(model):
+    """Eigenstructure of a zero-specific-risk model with arbitrary loadings,
+    via the F x F Gram matrix lam^T lam of its row-normalized loadings
+    lam = Omega L / |Omega L| (L the Cholesky factor of Phi); Omega's rows
+    are scaled by _unit_rows first, which leaves lam as it is."""
     if np.any(model.xi != 0):
         raise ValidationError("nonzero specific risk: use the dense path (dense_rho_star)")
-    omega_t = _unit_rows(model.omega) @ model.phi_chol
+    omega_t = _unit_rows(model.loadings()) @ model.phi_chol
     with np.errstate(over="ignore"):
         sig = np.linalg.norm(omega_t, axis=1)
     _check_total_variance(sig)
@@ -482,16 +484,7 @@ def _loadings_gram(model):
         raise ValidationError(
             f"loadings columns are linearly dependent (columns {sorted(cols.tolist())})"
         )
-    return lam, w, vecs
-
-
-def reduce_nonbinary(model):
-    """Eigenstructure of a zero-specific-risk model with arbitrary loadings,
-    via the F x F Gram matrix of the normalized loadings."""
-    lam, w, vecs = _loadings_gram(model)
-    return _reduced_structure(
-        w, model.n, lambda k: (lam @ vecs[:, k] / math.sqrt(w[k])).sum()
-    )
+    return _reduced_structure(w, model.n, lambda k: (lam @ vecs[:, k] / math.sqrt(w[k])).sum())
 
 
 def deflated_eigenvalues(model):
@@ -500,9 +493,9 @@ def deflated_eigenvalues(model):
     form G < N groups of repeated rows; None for a dense-mode model or
     where G = N.
 
-    Alphas with byte-identical (xi_i, Omega_i) rows, -0.0 taken as 0.0,
-    form the groups. With each group's row scaled by _unit_rows, r_g on its
-    loading, psi's entries between groups g and h in clusters a and b are
+    Alphas of one cluster with byte-identical xi_i, -0.0 taken as 0.0, form
+    the groups. With each group's row (xi_g, one-hot) scaled by _unit_rows,
+    r_g on its loading, psi's entries between groups g and h in clusters a and b are
     M_gh = r_g Phi_ab r_h / (s_g s_h) with s_g^2 = (r_g xi_g)^2 + r_g Phi_aa r_g,
     averaged with the transpose: the operations build_covariance applies to
     one-hot loadings, so M holds psi's entries bit for bit. Then
@@ -515,15 +508,17 @@ def deflated_eigenvalues(model):
     eigen.top_eigenvector on the lifted vectors is the N-space rule."""
     if model.mode != "binary":
         return None
-    rows = np.column_stack([model.xi, model.omega]) + 0.0
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
-    _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True,
-                                          return_counts=True)
+    # groups sort by their keys' bytes, xi's then the big-endian F - id: equal xi
+    # in descending cluster order, as one-hot rows sorted, which eigh's bits need
+    keys = np.rec.fromarrays([model.xi + 0.0, model.f - model.assignment],
+                             dtype=[("xi", float), ("id", ">u8")])
+    _, first, inverse, counts = np.unique(keys.view((np.void, keys.itemsize)), return_index=True,
+                                          return_inverse=True, return_counts=True)
     if len(first) == model.n:
         return None
     cluster = model.assignment[first] - 1
-    unit = _unit_rows(rows[first])
-    r = unit[np.arange(len(first)), cluster + 1]
+    unit = _unit_rows(np.column_stack([model.xi[first], np.ones(len(first))]))
+    r = unit[:, 1]
     # scaled and + 0.0 as in build_covariance, whose diag(xi^2) + ... turns -0.0 to 0.0
     phi = r[:, None] * model.phi_cov[np.ix_(cluster, cluster)] * r[None, :] + 0.0
     s = np.sqrt(unit[:, 0] ** 2 + np.diag(phi))

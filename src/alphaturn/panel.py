@@ -463,6 +463,11 @@ def load_correlation(path):
         k = bad[0]
         raise ValidationError(f"{path}: row {k + 2}, column {k + 2}: diagonal value "
                               f"{float(psi[k, k])!r} is not 1 (to 1e-12)")
+    bad = np.argwhere(np.abs(psi) > 1.0 + 1e-12)
+    if bad.size:
+        r, c = bad[0]
+        raise ValidationError(f"{path}: row {r + 2}, column {c + 2}: correlation "
+                              f"{float(psi[r, c])!r} lies outside [-1, 1]")
     asym = np.abs(psi - psi.T)
     i, j = np.unravel_index(np.argmax(asym), asym.shape)
     if asym[i, j] > 1e-12:

@@ -122,7 +122,7 @@ def gen_panel(model, n_obs, seed):
     rng = _rng(seed)
     f_draws = rng.standard_normal((n_obs, model.f)) @ model.phi_chol.T
     z = rng.standard_normal((n_obs, model.n)) * model.xi[None, :]
-    values = z + f_draws @ model.omega.T
+    values = z + f_draws @ model.loadings().T
     width = len(str(model.n))
     labels = [f"a{i + 1:0{width}d}" for i in range(model.n)]
     t_width = len(str(n_obs))

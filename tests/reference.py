@@ -76,7 +76,7 @@ def nonbinary_eigenvectors(model):
     model with arbitrary loadings, columns ordered by descending eigenvalue:
     lam v / sqrt(w) for the eigenpairs (w, v) of the Gram matrix lam^T lam
     of the row-normalized loadings lam = Omega L / |Omega L|."""
-    omega_t = model.omega @ np.linalg.cholesky(model.phi_cov)
+    omega_t = model.loadings() @ np.linalg.cholesky(model.phi_cov)
     lam = omega_t / np.linalg.norm(omega_t, axis=1)[:, None]
     w, vecs = np.linalg.eigh(lam.T @ lam)
     order = np.argsort(w)[::-1]
@@ -108,7 +108,7 @@ def deflated_eigenvalues(model, corr):
     psi as assembled, not of a factored form of it. The block is solved by
     np.linalg.eigh, as factor_model.deflated_eigenvalues solves its block,
     so the two agree bit for bit wherever their blocks do."""
-    rows = np.column_stack([model.xi, model.omega]) + 0.0
+    rows = np.column_stack([model.xi, model.loadings()]) + 0.0
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
     _, first, inv, counts = np.unique(keys, return_index=True, return_inverse=True,
                                       return_counts=True)

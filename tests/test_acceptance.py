@@ -116,10 +116,7 @@ def test_04_oracle_equivalence():
                 sizes = rand_sizes(rng, n, f)
                 corr = rand_spd_corr(rng, f)
                 eig = fm.reduce_nondiagonal(sizes, corr)
-                base = fm.ClusterSpec.from_sizes(sizes).to_factor_model()
-                model = fm.FactorModel(
-                    omega=base.omega, phi_cov=corr, xi=np.zeros(n), mode="binary"
-                )
+                model = fm.ClusterSpec.from_sizes(sizes).to_factor_model(corr)
             else:
                 omega = rng.standard_normal((n, f)) + 0.5
                 model = fm.FactorModel(

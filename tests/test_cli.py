@@ -355,6 +355,13 @@ class TestClusters:
         assert 1 <= doc["knee"] <= 5
         assert doc["rank_used"] == 8
 
+    def test_out_of_range_correlation_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "corr.csv"
+        path.write_text(",a,b,c\na,1,0.5,0.2\nb,0.5,1,0.3\nc,0.2,1.0000001,1\n")
+        assert run(["clusters", str(path), "--kmax", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: row 4, column 3: correlation 1.0000001 lies outside [-1, 1]\n")
+
     def test_singular_requires_deform_flag(self, tmp_path):
         path = tmp_path / "corr.csv"
         # rank-3 correlation of four series built from three draws
@@ -1078,6 +1085,10 @@ MALFORMED = {
     "corr-bad-diagonal-quoted-label": (',a,b\n"a",1,0.5\nb,0.5,1.5\n', ["--corr"],
                                        "{path}: row 3, column 3: diagonal value 1.5 is not 1 "
                                        "(to 1e-12)"),
+    "corr-above-one": (",a,b\na,1,1.5\nb,1.5,1\n", ["--corr"],
+                       "{path}: row 2, column 3: correlation 1.5 lies outside [-1, 1]"),
+    "corr-below-minus-one": (",a,b,c\na,1,0.5,0.2\nb,0.5,1,-1.25\nc,0.2,-1.25,1\n", ["--corr"],
+                             "{path}: row 3, column 4: correlation -1.25 lies outside [-1, 1]"),
 }
 
 

@@ -88,6 +88,7 @@ class TestResidualSweep:
             )
             corr = build_covariance(spec.to_factor_model())
             curve = cl.residual_correlation_sweep(make_corr(corr.psi), k_max=f + 2)
+            assert curve.rank_used == corr.n
             z = dict(zip(curve.ks, curve.zeta1))
             assert all(z[k + 1] < z[k] for k in range(1, f))
             for k in range(f + 1, f + 3):

@@ -310,8 +310,8 @@ class TestDecompositionBudget:
         f = 6
         b = rng.uniform(0.0, 1.0, (f, f)) + np.eye(f)
         assignment = rng.integers(1, f + 1, 60)
-        model = fm.FactorModel(omega=fm.binary_loadings(assignment, f), phi_cov=b @ b.T,
-                               xi=rng.uniform(0.3, 1.0, f)[assignment - 1], mode="binary")
+        model = fm.FactorModel(assignment=assignment, phi_cov=b @ b.T,
+                               xi=rng.uniform(0.3, 1.0, f)[assignment - 1])
         calls, doc = self.model_eigen(tmp_path, monkeypatch, model)
         assert calls == []
         assert doc["method"] == "dense"
@@ -338,17 +338,16 @@ class TestDecompositionBudget:
         if kind == "tied":
             phi = np.eye(4)
             phi[2, 3] = phi[3, 2] = 0.5
-            model = fm.FactorModel(
-                omega=fm.binary_loadings(np.repeat([1, 2, 3, 4], [4, 4, 1, 1]), 4),
-                phi_cov=phi, xi=np.repeat([0.5, 0.3, 0.7], [8, 1, 1]), mode="binary")
+            model = fm.FactorModel(assignment=np.repeat([1, 2, 3, 4], [4, 4, 1, 1]),
+                                   phi_cov=phi, xi=np.repeat([0.5, 0.3, 0.7], [8, 1, 1]))
         elif kind == "all-tied":
-            model = fm.FactorModel(omega=fm.binary_loadings([1, 1, 2, 2], 2),
+            model = fm.FactorModel(assignment=[1, 1, 2, 2],
                                    phi_cov=np.array([[1.0, 0.5], [0.5, 1.0]]),
-                                   xi=np.full(4, 1e6), mode="binary")
+                                   xi=np.full(4, 1e6))
         elif kind == "near-tied":
-            model = fm.FactorModel(omega=fm.binary_loadings(np.repeat([1, 2], 50), 2),
+            model = fm.FactorModel(assignment=np.repeat([1, 2], 50),
                                    phi_cov=np.array([[1, 1e-12], [1e-12, 1 + eps]]),
-                                   xi=np.full(100, 0.5), mode="binary")
+                                   xi=np.full(100, 0.5))
         else:
             m = tmp_path / "synth.json"
             assert cli.main(["synth", "--seed", "3", "--n", "200", "--clusters", "20",

@@ -1,9 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from alphaturn import cli
 from alphaturn import clusters as cl
 from alphaturn import factor_model as fm
 from alphaturn import panel as pm
@@ -62,7 +64,7 @@ class TestBuildCovariance:
         )
         model = spec.to_factor_model()
         back = fm.FactorModel.from_json(model.to_json())
-        assert np.allclose(back.omega, model.omega)
+        np.testing.assert_array_equal(back.assignment, model.assignment)
         assert np.allclose(back.phi_cov, model.phi_cov)
         assert np.allclose(back.xi, model.xi)
         assert back.mode == "binary"
@@ -71,22 +73,49 @@ class TestBuildCovariance:
         model = fm.FactorModel.from_json('{"mode": "binary", "sizes": [2, 1], "phi": [1, 4]}')
         np.testing.assert_array_equal(model.assignment, [1, 1, 2])
         np.testing.assert_array_equal(model.sizes, [2, 1])
-        np.testing.assert_array_equal(model.omega, fm.binary_loadings([1, 1, 2], 2))
+        np.testing.assert_array_equal(model.loadings(), [[1, 0], [1, 0], [0, 1]])
         np.testing.assert_array_equal(model.xi, np.zeros(3))
+
+    def test_binary_model_stores_no_loadings(self, tmp_path):
+        # N = 2e4 alphas in F = 1000 clusters: one-hot loadings would take
+        # 160 MB, and loading and solving the model peaked at 216 MB with them
+        doc = {"mode": "binary", "sizes": [20] * 1000, "phi": [1.0] * 1000}
+        tracemalloc.start()
+        try:
+            model = fm.FactorModel.from_doc(doc)
+            structure, method = fm.model_eigenstructure(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        assert model.omega is None and method == "closed-form-binary"
+        assert structure.rho_star == pytest.approx(1000**-1.5, rel=1e-12)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["model", str(path), "--op", "rho-star",
+                         "--out", str(tmp_path / "rho.json")]) == 0
 
     def test_dense_model_has_no_layout(self):
         model = fm.FactorModel(omega=np.eye(2), phi_cov=np.eye(2), xi=np.zeros(2))
         assert model.assignment is None and model.sizes is None
+        with pytest.raises(ValidationError, match="loadings or cluster ids, not both"):
+            fm.FactorModel(omega=np.eye(2), phi_cov=np.eye(2), xi=np.zeros(2), assignment=[1, 2])
 
-    # each row breaks the one-hot rule: a fraction, a negative entry, two
-    # ones, no one
+    # FactorModel and ClusterSpec share from_doc's check of the ids
+    @pytest.mark.parametrize("ids", [[0, 1, 2], [1, 2, 3]], ids=["below", "above"])
+    def test_cluster_ids_out_of_range(self, ids):
+        with pytest.raises(ValidationError, match=r"^cluster ids must lie in 1\.\.2$"):
+            fm.FactorModel(assignment=ids, phi_cov=np.eye(2), xi=np.zeros(3))
+        with pytest.raises(ValidationError, match=r"^cluster ids must lie in 1\.\.2$"):
+            fm.ClusterSpec(sizes=[1, 2], assignment=ids, phi=[1.0, 1.0], xi=[0.0, 0.0])
+
+    # each row breaks the F-test's one-hot rule, which both loadings
+    # arguments share: a fraction, a negative entry, two ones, no one
     @pytest.mark.parametrize("row", [[0.5, 0.5], [-1.0, 0.0], [1.0, 1.0], [0.0, 0.0]],
                              ids=["half", "negative", "two-ones", "no-one"])
     def test_one_hot_rule_shared(self, row):
         omega = np.array([[1.0, 0.0], [0.0, 1.0], row])
         message = "rows must assign each alpha to exactly one cluster"
-        with pytest.raises(ValidationError, match=f"^loadings: {message}$"):
-            fm.FactorModel(omega=omega, phi_cov=np.eye(2), xi=np.zeros(3), mode="binary")
         panel = pm.AlphaPanel(labels=["a0", "a1", "a2"], times=["t0", "t1"],
                               values=np.arange(6.0).reshape(2, 3))
         good = fm.binary_loadings([1, 2, 2], 2)
@@ -243,10 +272,7 @@ class TestReduceNondiagonal:
         corr = rand_spd_corr(rng, f)
         eig = fm.reduce_nondiagonal(sizes, corr)
         spec = fm.ClusterSpec.from_sizes(sizes)
-        model = spec.to_factor_model()
-        model = fm.FactorModel(
-            omega=model.omega, phi_cov=corr, xi=np.zeros(spec.n), mode="binary"
-        )
+        model = spec.to_factor_model(corr)
         dense_corr = fm.build_covariance(model)
         dense = sp.spectral_summary(dense_corr)
         w = np.sort(np.linalg.eigvalsh(dense_corr.psi))[::-1]

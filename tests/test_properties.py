@@ -154,6 +154,10 @@ def csv_reader_load_correlation(path):
         if abs(psi[k, k] - 1.0) > 1e-12:
             raise ValidationError(f"{path}: row {k + 2}, column {k + 2}: diagonal value "
                                   f"{float(psi[k, k])!r} is not 1 (to 1e-12)")
+    for r, c in np.ndindex(n, n):
+        if abs(psi[r, c]) > 1.0 + 1e-12:
+            raise ValidationError(f"{path}: row {r + 2}, column {c + 2}: correlation "
+                                  f"{float(psi[r, c])!r} lies outside [-1, 1]")
     asym = np.abs(psi - psi.T)
     i, j = np.unravel_index(np.argmax(asym), asym.shape)
     if asym[i, j] > 1e-12:
@@ -548,8 +552,7 @@ def dense_path_models(draw):
         return fm.FactorModel(omega=rng.uniform(0.1, 1.0, (n, f)), phi_cov=phi, xi=xi)
     # n > f alphas in f clusters: some cluster has two, with distinct xi
     assignment = rng.integers(1, f + 1, n)
-    return fm.FactorModel(omega=fm.binary_loadings(assignment, f), phi_cov=phi, xi=xi,
-                          mode="binary")
+    return fm.FactorModel(assignment=assignment, phi_cov=phi, xi=xi)
 
 
 @settings(deadline=None)
@@ -603,8 +606,8 @@ def near_tied_model():
     differ by 0.13%, so power iteration would shrink the error by only
     r = 0.997 per step and is not tried."""
     xi = np.random.default_rng(0).uniform(0.1, 0.2, 1000)
-    return fm.FactorModel(omega=fm.binary_loadings(np.repeat([1, 2], 500), 2),
-                          phi_cov=np.diag([1.0, 1.02]), xi=xi, mode="binary")
+    return fm.FactorModel(assignment=np.repeat([1, 2], 500), phi_cov=np.diag([1.0, 1.02]),
+                          xi=xi)
 
 
 def tied_top_distinct_model():
@@ -632,8 +635,8 @@ def repeated_alpha_models(draw):
         phi[2, 3] = phi[3, 2] = r
         xi = np.repeat([rng.uniform(0.1, 0.8), rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)],
                        [2 * k, 1, 1])
-        return fm.FactorModel(omega=fm.binary_loadings(np.repeat([1, 2, 3, 4], [k, k, 1, 1]), 4),
-                              phi_cov=phi, xi=xi, mode="binary")
+        return fm.FactorModel(assignment=np.repeat([1, 2, 3, 4], [k, k, 1, 1]), phi_cov=phi,
+                              xi=xi)
     f = draw(st.integers(2 if kind == "binary" else 1, 6))
     b = rng.uniform(0.0, 1.0, (f, f)) + np.eye(f)
     phi = b @ b.T
@@ -643,8 +646,7 @@ def repeated_alpha_models(draw):
     member = rng.permutation(np.repeat(np.arange(groups), counts))
     xi = rng.uniform(0.1, 1.0, groups)[member]
     if kind == "binary":
-        return fm.FactorModel(omega=fm.binary_loadings(member + 1, f), phi_cov=phi, xi=xi,
-                              mode="binary")
+        return fm.FactorModel(assignment=member + 1, phi_cov=phi, xi=xi)
     rows = rng.uniform(0.1, 1.0, (groups, f))
     rows[rng.random((groups, f)) < 0.3] = 0.0
     omega = rows[member]
@@ -697,8 +699,7 @@ def binary_models(draw):
     xi = xi[assignment - 1]
     if draw(st.booleans()):
         xi = np.where(rng.random(len(xi)) < 0.5, rng.uniform(0.0, 3.0, len(xi)), xi)
-    return fm.FactorModel(omega=fm.binary_loadings(assignment, f), phi_cov=phi, xi=xi,
-                          mode="binary")
+    return fm.FactorModel(assignment=assignment, phi_cov=phi, xi=xi)
 
 
 @settings(deadline=None)
@@ -812,8 +813,7 @@ def test_cluster_xi_matches_per_cluster_loop(f, data):
     jitter = data.draw(st.lists(st.sampled_from([0.0, 0.0, 4e-13, 1e-12, 3e-12]),
                                 min_size=len(assignment), max_size=len(assignment)))
     xi = [base[a - 1] + j for a, j in zip(assignment, jitter)]
-    model = fm.FactorModel(omega=fm.binary_loadings(assignment, f), phi_cov=np.eye(f),
-                           xi=xi, mode="binary")
+    model = fm.FactorModel(assignment=assignment, phi_cov=np.eye(f), xi=xi)
     got, want = fm._cluster_xi(model), loop_cluster_xi(model)
     assert (got is None) == (want is None)
     if want is not None:
@@ -823,15 +823,16 @@ def test_cluster_xi_matches_per_cluster_loop(f, data):
 @given(f=st.integers(1, 5), empty=st.integers(0, 2), data=st.data())
 def test_binary_layout_matches_loadings(f, empty, data):
     """A binary model's assignment and sizes are the argmax + 1 and the
-    bincount of its one-hot loadings, with `empty` clusters that hold no
-    alpha."""
+    column sums of the one-hot loadings it builds, with `empty` clusters
+    that hold no alpha."""
     assignment = data.draw(st.lists(st.integers(1, f), min_size=1, max_size=12))
-    omega = fm.binary_loadings(assignment, f + empty)
-    model = fm.FactorModel(omega=omega, phi_cov=np.eye(f + empty),
-                           xi=np.zeros(len(assignment)), mode="binary")
-    ids = np.argmax(omega, axis=1)
-    assert np.array_equal(model.assignment, ids + 1)
-    assert np.array_equal(model.sizes, np.bincount(ids, minlength=f + empty))
+    model = fm.FactorModel(assignment=assignment, phi_cov=np.eye(f + empty),
+                           xi=np.zeros(len(assignment)))
+    omega = model.loadings()
+    assert omega.shape == (len(assignment), f + empty)
+    assert np.isin(omega, (0.0, 1.0)).all()
+    assert np.array_equal(model.assignment, np.argmax(omega, axis=1) + 1)
+    assert np.array_equal(model.sizes, omega.sum(axis=0))
 
 
 def per_time_fstats(values, omega):
@@ -877,7 +878,7 @@ def ftest_rows(draw):
 @given(rows=ftest_rows())
 def test_cluster_mean_fstats_match_per_time_lstsq(rows):
     values, omega = rows
-    usable, f = cl._cluster_mean_fstats(values, omega)
+    usable, f = cl._cluster_mean_fstats(values, omega, cl.cluster_ids(omega, "omega"))
     want_usable, want = per_time_fstats(values, omega)
     np.testing.assert_array_equal(usable, want_usable)
     assert np.isnan(f[~usable]).all()

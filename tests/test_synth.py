@@ -104,7 +104,8 @@ class TestModelGen:
     def test_binary_mode_loadings(self):
         model = sy.gen_model(base_config())
         assert model.mode == "binary"
-        assert np.all(model.omega.sum(axis=1) == 1.0)
+        assert model.omega is None
+        assert np.all(model.loadings().sum(axis=1) == 1.0)
 
 
 class TestPanelGen:
