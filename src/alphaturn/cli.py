@@ -3,40 +3,42 @@ model eigenstructures, synthetic data generation and the new-cluster
 F-test.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical failure.
+
+Each command imports the library modules it calls, and numpy with them,
+once its arguments have parsed: --help, usage errors and --config errors
+load no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-import numpy as np
+from .errors import NumericalError, ValidationError, read_file
 
-from .errors import NumericalError, ValidationError
-from . import clusters as clusters_mod
-from . import factor_model as fm
-from . import panel as panel_mod
-from . import spectral as spectral_mod
-from . import synth as synth_mod
-from .factor_model import model_eigenstructure
-from .panel import _atomic_write
+
+def model_eigenstructure(model):
+    """factor_model.model_eigenstructure, looked up by name in this module
+    so that the CLI's solve can be replaced or timed on its own."""
+    from . import factor_model as fm
+
+    return fm.model_eigenstructure(model)
 
 
 def _emit(text, out_path):
+    text = text if text.endswith("\n") else text + "\n"
     if out_path:
-        _atomic_write(out_path, text if text.endswith("\n") else text + "\n")
+        from .panel import _atomic_write
+
+        _atomic_write(out_path, text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 def _read_json_object(path, kind):
-    if not os.path.exists(path):
-        raise ValidationError(f"{kind} file not found: {path}")
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = read_file(path, kind, json.load)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
@@ -45,6 +47,10 @@ def _read_json_object(path, kind):
 
 
 def cmd_analyze(args):
+    from . import clusters as clusters_mod
+    from . import panel as panel_mod
+    from . import spectral as spectral_mod
+
     if args.corr:
         corr = panel_mod.load_correlation(args.input)
     else:
@@ -70,6 +76,9 @@ def cmd_analyze(args):
 
 
 def cmd_clusters(args):
+    from . import clusters as clusters_mod
+    from . import panel as panel_mod
+
     clusters_mod.check_knee_args(args.rel_drop, args.window)
     corr = panel_mod.load_correlation(args.input)
     if not corr.psd:
@@ -91,6 +100,9 @@ def cmd_clusters(args):
 
 
 def cmd_model(args):
+    from . import factor_model as fm
+    from . import panel as panel_mod
+
     model = fm.FactorModel.from_doc(_read_json_object(args.input, "model"))
     if args.op in ("eigen", "rho-star"):
         structure, method = model_eigenstructure(model)
@@ -114,6 +126,9 @@ def cmd_model(args):
 
 
 def cmd_synth(args):
+    from . import panel as panel_mod
+    from . import synth as synth_mod
+
     if args.factor_rho != "random":
         try:
             args.factor_rho = float(args.factor_rho)
@@ -134,10 +149,13 @@ def cmd_synth(args):
     model = synth_mod.gen_model(config)
     panel = synth_mod.gen_panel(model, config.n_obs, config.seed + 2)
     panel_mod.save_panel(panel, args.panel_out)
-    _atomic_write(args.model_out, model.to_json() + "\n")
+    _emit(model.to_json(), args.model_out)
 
 
 def cmd_ftest(args):
+    from . import clusters as clusters_mod
+    from . import panel as panel_mod
+
     clusters_mod.check_winsor(args.winsor)
     panel = panel_mod.load_panel(args.panel, na_policy="literal_NA")
     panel_new = panel_mod.load_panel(args.panel_new, na_policy="literal_NA")
@@ -297,11 +315,17 @@ def main(argv=None):
                         sp_flags[dest].required = False
                 sp.set_defaults(**defaults)
         args = parser.parse_args(argv)
-        args.func(args)
+        # every command loads numpy: its LinAlgError exits 3 as a NumericalError
+        import numpy as np
+
+        try:
+            args.func(args)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(str(exc)) from None
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, np.linalg.LinAlgError) as exc:
+    except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:

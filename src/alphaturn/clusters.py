@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .factor_model import binary_loadings
 from .panel import format_csv, read_csv
 
 # Residual variance below which a sweep step is skipped.
@@ -166,10 +165,15 @@ def knee_estimate(curve, rel_drop=0.05, window=3):
 
 def load_loadings(path, labels):
     """Binary loadings from a CSV with header alpha,cluster and 1-based
-    cluster ids, one row per alpha, in the order of `labels`."""
+    cluster ids, one row per alpha, in the order of `labels`. An id above
+    the file's number of alphas leaves a cluster empty, and is rejected
+    before the loadings, sized by the largest id, are built."""
+    from .factor_model import binary_loadings
+
     rows = read_csv(path, "loadings")
     if not rows or rows[0] != ["alpha", "cluster"]:
         raise ValidationError(f"{path}: header must be 'alpha,cluster'")
+    n_alphas = len(rows) - 1
     mapping = {}
     for r, row in enumerate(rows[1:], start=2):
         if len(row) != 2:
@@ -180,6 +184,9 @@ def load_loadings(path, labels):
             cluster = 0
         if cluster < 1:
             raise ValidationError(f"{path}: row {r}: bad cluster id {row[1]!r}")
+        if cluster > n_alphas:
+            raise ValidationError(f"{path}: row {r}: cluster id {cluster} exceeds "
+                                  f"the number of alphas, {n_alphas}")
         mapping[row[0]] = cluster
     missing = [lab for lab in labels if lab not in mapping]
     if missing:

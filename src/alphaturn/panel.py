@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigen
-from .errors import ValidationError
+from .errors import ValidationError, read_file
 
 FLOAT_FMT = "%.17g"
 
@@ -167,21 +167,15 @@ def unit_diagonal(cov):
 
 def read_csv(path, kind):
     """All rows of the CSV file at `path`, as lists of cell strings; `kind`
-    names the file in the not-found error."""
-    if not os.path.exists(path):
-        raise ValidationError(f"{kind} file not found: {path}")
-    with open(path, newline="") as fh:
-        return list(csv.reader(fh))
+    names the file in read errors."""
+    return read_file(path, kind, lambda fh: list(csv.reader(fh)), newline="")
 
 
 def _read_lines(path, kind):
     """The lines of the text file at `path`, without their line ends (which
     may be \\n, \\r\\n or \\r, as for csv.reader); `kind` names the file in
-    the not-found error."""
-    if not os.path.exists(path):
-        raise ValidationError(f"{kind} file not found: {path}")
-    with open(path) as fh:
-        lines = fh.read().split("\n")
+    read errors."""
+    lines = read_file(path, kind, lambda fh: fh.read()).split("\n")
     if lines[-1] == "":
         lines.pop()
     return lines
@@ -312,16 +306,21 @@ def save_panel(panel, path):
 
 def _atomic_write(path, text):
     """Write `text` to a new file beside `path`, then rename it over `path`.
-    open() gives the new file the mode the umask leaves; "x" refuses an old one."""
+    open() gives the new file the mode the umask leaves; "x" refuses an old one.
+    A failure to write, such as a missing directory, raises ValidationError
+    naming `path` and leaves no new file."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
-    fh = open(tmp, "x")
     try:
-        with fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fh = open(tmp, "x")
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot write: {exc.strerror or exc}") from None
 
 
 def pairwise_correlation(panel, min_overlap=12):

@@ -1,6 +1,7 @@
 import importlib
 import json
 import pathlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -157,7 +158,7 @@ class TestAnalyze:
         def boom(*a, **k):
             raise RuntimeError("not a numerical failure")
 
-        monkeypatch.setattr(cli.spectral_mod, "spectral_summary", boom)
+        monkeypatch.setattr(sp, "spectral_summary", boom)
         with pytest.raises(RuntimeError, match="not a numerical failure"):
             run(["analyze", str(path), "--corr"])
 
@@ -606,7 +607,7 @@ class TestModel:
         def boom(*a, **k):
             raise NumericalError("forced failure")
 
-        monkeypatch.setattr(cli.fm, "secular_roots", boom)
+        monkeypatch.setattr(fm, "secular_roots", boom)
         assert run(["model", str(path), "--op", "rho-curve"]) == 3
 
     def test_deflated_top_pair_failing_its_guard_exit_3(self, tmp_path, monkeypatch, capsys):
@@ -1020,6 +1021,23 @@ class TestFTest:
         assert run(["ftest", str(p), str(w), str(p), str(w)]) == 2
         assert f"{w}: row 3: bad cluster id '{bad}'" in capsys.readouterr().err
 
+    def test_cluster_id_above_alpha_count_exit_2_before_allocating(self, tmp_path, capsys):
+        # loadings sized by the largest id would take 3 x 5e6 floats, 120 MB
+        labels = ["a0", "a1", "a2"]
+        p = tmp_path / "p.csv"
+        self._write_panel(p, np.random.default_rng(3).standard_normal((4, 3)) + 1.0, labels)
+        w = tmp_path / "w.csv"
+        self._write_loadings(w, labels, [1, 5000000, 2])
+        tracemalloc.start()
+        try:
+            assert run(["ftest", str(p), str(w), str(p), str(w)]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr() == (
+            "", f"error: {w}: row 3: cluster id 5000000 exceeds the number of alphas, 3\n")
+        assert peak < 10e6
+
     @pytest.mark.parametrize("rows, message", [
         (["a0,1,2", "a1,1", "a2,2", "a3,2"], "{w}: row 2 must have 2 fields"),
         # cluster ids 1 and 3: the loadings have an empty second column
@@ -1102,6 +1120,55 @@ class TestMalformedFiles:
             warnings.simplefilter("error")
             assert run(["analyze", str(path), "--min-overlap", "1", *flags]) == 2
         assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
+
+
+# Read and write failures: (argv, message), where {d} stands for a directory
+# that holds a panel p.csv, a correlation matrix c.csv, a model m.json, a
+# file bad.csv that is not UTF-8 text and a subdirectory sub.
+IO_FAILURES = {
+    "model-is-dir": (["model", "{d}/sub", "--op", "eigen"],
+                     "{d}/sub: cannot read model file: Is a directory"),
+    "config-is-dir": (["--config", "{d}/sub", "analyze", "{d}/p.csv"],
+                      "{d}/sub: cannot read config file: Is a directory"),
+    "panel-is-dir": (["analyze", "{d}/sub"], "{d}/sub: cannot read panel file: Is a directory"),
+    "corr-is-dir": (["clusters", "{d}/sub", "--kmax", "2"],
+                    "{d}/sub: cannot read correlation file: Is a directory"),
+    "loadings-is-dir": (["ftest", "{d}/p.csv", "{d}/sub", "{d}/p.csv", "{d}/sub"],
+                        "{d}/sub: cannot read loadings file: Is a directory"),
+    "panel-not-utf8": (["analyze", "{d}/bad.csv"],
+                       "{d}/bad.csv: cannot read panel file: not utf-8 text"),
+    "corr-not-utf8": (["analyze", "{d}/bad.csv", "--corr"],
+                      "{d}/bad.csv: cannot read correlation file: not utf-8 text"),
+    "config-not-utf8": (["--config", "{d}/bad.csv", "analyze", "{d}/p.csv"],
+                        "{d}/bad.csv: cannot read config file: not utf-8 text"),
+    "out-in-missing-dir": (["model", "{d}/m.json", "--op", "eigen", "--out", "{d}/no/o.json"],
+                           "{d}/no/o.json: cannot write: No such file or directory"),
+    "out-is-dir": (["analyze", "{d}/c.csv", "--corr", "--out", "{d}/sub"],
+                   "{d}/sub: cannot write: Is a directory"),
+    "synth-out-in-missing-dir": (["synth", "--seed", "1", "--n", "6", "--clusters", "2",
+                                  "--n-obs", "20", "--panel-out", "{d}/no/p.csv",
+                                  "--model-out", "{d}/s.json"],
+                                 "{d}/no/p.csv: cannot write: No such file or directory"),
+}
+
+
+class TestIOFailures:
+    @pytest.mark.parametrize("argv,message", IO_FAILURES.values(), ids=IO_FAILURES)
+    def test_exit_2_naming_the_path(self, tmp_path, capsys, argv, message):
+        d = tmp_path
+        (d / "sub").mkdir()
+        rng = np.random.default_rng(1)
+        pm.save_panel(pm.AlphaPanel(labels=["a", "b", "c"], times=[str(t) for t in range(20)],
+                                    values=rng.standard_normal((20, 3))), d / "p.csv")
+        write_corr(d / "c.csv", np.eye(3))
+        (d / "m.json").write_text(json.dumps({"mode": "binary", "sizes": [2, 1],
+                                              "phi": [1.0, 1.0]}))
+        (d / "bad.csv").write_bytes(b"time,a,b\n1,0.1,\xff\n2,0.2,0.3\n")
+        files = sorted(d.rglob("*"))
+        assert run([a.format(d=d) for a in argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message.format(d=d)}\n")
+        # no temporary file is left behind
+        assert sorted(d.rglob("*")) == files
 
 
 class TestFloatGrammar:

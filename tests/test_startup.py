@@ -1,9 +1,15 @@
-"""Start-up cost and dependencies: the package imports only numpy, so
-importing the CLI loads no scipy module, no command loads scipy or
-jsonschema, and every command runs with either of them unimportable.
+"""Start-up cost and dependencies. The CLI imports the library lazily:
+importing it and building its parser loads no numpy, and neither do
+--help, usage errors and --config errors. Each subcommand loads only the
+alphaturn modules that MODULES lists for it, and `import alphaturn` loads
+none until a public name is used. The package imports only numpy: no
+command loads scipy or jsonschema, and every command runs with either of
+them unimportable.
 
-Every check runs in a fresh interpreter, because this test process may have
-scipy loaded already (some tests use it as a reference).
+Every check runs in a fresh interpreter, because this test process has the
+whole library loaded, and may have scipy loaded too (some tests use it as
+a reference). A check on what a run loads fails printing the import chain
+that loaded the first module it should not have.
 """
 
 import json
@@ -22,14 +28,27 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     p for p in [str(SRC), os.environ.get("PYTHONPATH")] if p))
 
-# Runs cli.main on its arguments and prints the exit code and the scipy and
-# jsonschema modules then loaded as the last line of stdout.
+# The alphaturn modules each subcommand may load, besides the package,
+# alphaturn.cli and alphaturn.errors
+MODULES = {
+    "analyze": {"panel", "eigen", "spectral", "clusters"},
+    "clusters": {"panel", "eigen", "clusters"},
+    "model": {"panel", "eigen", "factor_model"},
+    "synth": {"panel", "eigen", "factor_model", "synth"},
+    "ftest": {"panel", "eigen", "clusters", "factor_model"},
+}
+CLI_MODULES = {"alphaturn", "alphaturn.cli", "alphaturn.errors"}
+
+# Runs cli.main on its arguments and prints its exit code, or argparse's,
+# as the last line of stdout.
 RUN_MAIN = """
 import json, sys
 from alphaturn import cli
-code = cli.main(sys.argv[1:])
-print(json.dumps({"code": code, "loaded": sorted(
-    m for m in sys.modules if m.split(".")[0] in ("scipy", "jsonschema"))}))
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:  # argparse exits on --help and on usage errors
+    code = exc.code
+print(json.dumps(code))
 """
 
 
@@ -53,24 +72,82 @@ def import_chain(lines, i):
     return chain
 
 
+def importtime(*args):
+    """The importtime lines of `python -X importtime *args`, which must exit 0."""
+    proc = python("-X", "importtime", *args)
+    assert proc.returncode == 0, proc.stderr
+    return proc, [line for line in proc.stderr.splitlines()
+                  if line.startswith("import time:") and line.count("|") == 2]
+
+
+def names(lines):
+    return [line.split("|")[2].strip() for line in lines]
+
+
+def assert_loads_none(lines, unwanted, what):
+    """Fail, printing its import chain, at the first module of `lines` for
+    whose name `unwanted` is true."""
+    hits = [i for i, name in enumerate(names(lines)) if unwanted(name)]
+    assert not hits, f"{what} loads {names(lines)[hits[0]]}:\n" + "\n".join(
+        import_chain(lines, hits[0]))
+
+
+def top(name):
+    return name.split(".")[0]
+
+
+def beyond_parsing(name):
+    """Whether module `name` is numpy or an alphaturn module that parsing
+    the command line does not need."""
+    return top(name) == "numpy" or (top(name) == "alphaturn" and name not in CLI_MODULES)
+
+
 def test_cli_import_loads_no_scipy():
-    proc = python("-X", "importtime", "-c", "import alphaturn.cli")
-    assert proc.returncode == 0, proc.stderr
-    lines = [line for line in proc.stderr.splitlines()
-             if line.startswith("import time:") and line.count("|") == 2]
-    names = [line.split("|")[2].strip() for line in lines]
-    assert "alphaturn.cli" in names
-    scipy_lines = [i for i, name in enumerate(names) if name.split(".")[0] == "scipy"]
-    assert not scipy_lines, "importing alphaturn.cli loads scipy:\n" + "\n".join(
-        import_chain(lines, scipy_lines[0]))
+    _, lines = importtime("-c", "import alphaturn.cli")
+    assert "alphaturn.cli" in names(lines)
+    assert_loads_none(lines, lambda name: top(name) == "scipy", "importing alphaturn.cli")
 
 
-def run_main(*argv):
-    proc = python("-c", RUN_MAIN, *map(str, argv))
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["code"] == 0, proc.stderr
-    return set(result["loaded"])
+def test_cli_parser_loads_no_numpy():
+    # what the benchmark's setup_s times
+    _, lines = importtime("-c", "from alphaturn.cli import build_parser; build_parser()")
+    assert_loads_none(lines, beyond_parsing, "building the CLI parser")
+
+
+def run_main(*argv, code=0):
+    """The importtime lines of cli.main(argv) in a fresh interpreter, whose
+    exit code must be `code`."""
+    proc, lines = importtime("-c", RUN_MAIN, *map(str, argv))
+    assert json.loads(proc.stdout.splitlines()[-1]) == code, proc.stderr
+    return lines
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(["--help"], 0, id="help"),
+    pytest.param(["model", "--help"], 0, id="model-help"),
+    pytest.param([], 2, id="no-command"),
+    pytest.param(["analyze"], 2, id="missing-input"),
+    pytest.param(["model", "m.json", "--op", "bogus"], 2, id="bad-choice"),
+    pytest.param(["synth", "--seed", "x", "--n", "3", "--clusters", "1", "--panel-out", "p",
+                  "--model-out", "m"], 2, id="bad-int"),
+    pytest.param(["--config", "{d}/missing.json", "analyze", "p.csv"], 2, id="config-missing"),
+    pytest.param(["--config", "{d}/bad-key.json", "analyze", "p.csv"], 2, id="config-key"),
+])
+def test_help_and_usage_errors_load_no_numpy(tmp_path, argv, code):
+    (tmp_path / "bad-key.json").write_text(json.dumps({"min_overlpa": 3}))
+    lines = run_main(*[a.format(d=tmp_path) for a in argv], code=code)
+    assert_loads_none(lines, beyond_parsing, " ".join(argv) or "no arguments")
+
+
+def run_command(*argv):
+    """Runs the command `argv`, which must exit 0. Fails, printing the import
+    chain, where it loads an alphaturn module that MODULES does not list for
+    its subcommand; returns the scipy and jsonschema modules it loads."""
+    lines = run_main(*argv)
+    allowed = CLI_MODULES | {f"alphaturn.{m}" for m in MODULES[argv[0]]}
+    assert_loads_none(lines, lambda name: top(name) == "alphaturn" and name not in allowed,
+                      argv[0])
+    return {name for name in names(lines) if top(name) in ("scipy", "jsonschema")}
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +194,7 @@ def inputs(tmp_path_factory):
 @pytest.mark.parametrize("op", ["eigen", "rho-star"])
 def test_model_paths_load_no_scipy(inputs, method, op):
     out = inputs / f"{method}-{op}.json"
-    assert run_main("model", inputs / f"{method}.json", "--op", op, "--out", out) == set()
+    assert run_command("model", inputs / f"{method}.json", "--op", op, "--out", out) == set()
     assert json.loads(out.read_text())["method"] == method
 
 
@@ -138,11 +215,11 @@ def test_model_paths_load_no_scipy(inputs, method, op):
                  id="sweep-f"),
 ])
 def test_command_loads_no_scipy(inputs, argv):
-    assert run_main(*[a.format(d=inputs) for a in argv]) == set()
+    assert run_command(*[a.format(d=inputs) for a in argv]) == set()
 
 
 def test_rho_curve_loads_no_scipy(inputs):
-    assert run_main("model", inputs / "model.json", "--op", "rho-curve",
+    assert run_command("model", inputs / "model.json", "--op", "rho-curve",
                     "--out", inputs / "curve.csv") == set()
     assert len(pm.read_csv(inputs / "curve.csv", "curve")) == 11
 
@@ -193,9 +270,36 @@ def test_other_exception_propagates_without_scipy(inputs):
     # exception reaches the user as a traceback, and nothing loads scipy
     code = ("import sys\nfrom alphaturn import cli\n"
             "def boom(*a, **k):\n    raise RuntimeError('not a numerical failure')\n"
-            "cli.spectral_mod.spectral_summary = boom\n"
+            "from alphaturn import spectral\n"
+            "spectral.spectral_summary = boom\n"
             "cli.main(sys.argv[1:])\n")
     proc = python("-c", code, "analyze", str(inputs / "corr.csv"), "--corr", "--deform")
     assert proc.returncode == 1
     assert proc.stderr.rstrip().endswith("RuntimeError: not a numerical failure")
     assert "scipy" not in proc.stderr
+
+
+def test_package_import_loads_no_submodule():
+    _, lines = importtime("-c", "import alphaturn")
+    assert_loads_none(lines, lambda name: top(name) == "numpy" or name.startswith("alphaturn."),
+                      "import alphaturn")
+
+
+def test_public_names_resolve_to_their_modules():
+    # each name of __all__ is the object its defining module holds, through
+    # both attribute access and a star import
+    code = """
+import importlib, json
+import alphaturn
+from alphaturn import *
+from alphaturn import panel
+bad = [name for name in alphaturn.__all__
+       if getattr(alphaturn, name) is not globals()[name]
+       or getattr(importlib.import_module(globals()[name].__module__), name) is not globals()[name]]
+print(json.dumps({"n": len(alphaturn.__all__), "bad": bad, "panel": panel.__name__,
+                  "missing": hasattr(alphaturn, "no_such_name")}))
+"""
+    proc = python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result == {"n": 42, "bad": [], "panel": "alphaturn.panel", "missing": False}
