@@ -165,19 +165,24 @@ def knee_estimate(curve, rel_drop=0.05, window=3):
 
 def load_loadings(path, labels):
     """Binary loadings from a CSV with header alpha,cluster and 1-based
-    cluster ids, one row per alpha, in the order of `labels`. An id above
-    the file's number of alphas leaves a cluster empty, and is rejected
-    before the loadings, sized by the largest id, are built."""
+    cluster ids, one row per alpha, in the order of `labels`; an alpha
+    listed twice is rejected. An id above the file's number of alphas
+    leaves a cluster empty, and is rejected before the loadings, sized by
+    the largest id, are built."""
     from .factor_model import binary_loadings
 
     rows = read_csv(path, "loadings")
     if not rows or rows[0] != ["alpha", "cluster"]:
         raise ValidationError(f"{path}: header must be 'alpha,cluster'")
     n_alphas = len(rows) - 1
-    mapping = {}
+    mapping, first_row = {}, {}
     for r, row in enumerate(rows[1:], start=2):
         if len(row) != 2:
             raise ValidationError(f"{path}: row {r} must have 2 fields")
+        if row[0] in first_row:
+            raise ValidationError(f"{path}: row {r}: alpha {row[0]!r} is already listed "
+                                  f"in row {first_row[row[0]]}")
+        first_row[row[0]] = r
         try:
             cluster = int(row[1])
         except ValueError:

@@ -43,9 +43,18 @@ MODEL_SCHEMA = {
 }
 
 
+def _integers(values, what):
+    """`values` as an int array; ValidationError naming `what` where one is not
+    an integer within int64 (1.5, NaN, inf), which the cast would mangle."""
+    values = np.asarray(values)
+    bad = values.dtype.kind == "f" and ~((abs(values) < 2.0**63) & (values == np.round(values)))
+    if np.any(bad):
+        raise ValidationError(f"{what} must be 64-bit integers, got {float(values[bad][0])}")
+    return values.astype(int, copy=False)
+
+
 def cluster_counts(assignment, f):
-    """Alphas in each of F clusters of 1-based cluster ids, each in 1..F."""
-    assignment = np.asarray(assignment, dtype=int)
+    """Alphas in each of F clusters of 1-based int cluster ids, each in 1..F."""
     if assignment.size and not 1 <= assignment.min() <= assignment.max() <= f:
         raise ValidationError(f"cluster ids must lie in 1..{f}")
     return np.bincount(assignment - 1, minlength=f)
@@ -60,39 +69,29 @@ def binary_loadings(assignment, f):
 
 @dataclass
 class ClusterSpec:
-    """Binary cluster layout: sizes, 1-based assignment, per-cluster factor
-    variances phi and specific risks xi."""
+    """Per-cluster parameters of a binary model, as binary_eigensystem reads
+    them: sizes N_A, factor variances phi (default 1) and specific risks xi
+    (default 0). The alphas' cluster ids are FactorModel's."""
 
     sizes: np.ndarray
-    assignment: np.ndarray
-    phi: np.ndarray
-    xi: np.ndarray
+    phi: np.ndarray = None
+    xi: np.ndarray = None
 
     def __post_init__(self):
-        self.sizes = np.asarray(self.sizes, dtype=int)
-        self.assignment = np.asarray(self.assignment, dtype=int)
-        self.phi = np.asarray(self.phi, dtype=float)
-        self.xi = np.asarray(self.xi, dtype=float)
+        self.sizes = _integers(self.sizes, "cluster sizes")
         f = len(self.sizes)
+        self.phi = np.ones(f) if self.phi is None else np.asarray(self.phi, dtype=float)
+        self.xi = np.zeros(f) if self.xi is None else np.asarray(self.xi, dtype=float)
         if np.any(self.sizes < 1):
             raise ValidationError("cluster sizes must be positive")
         if self.phi.shape != (f,) or np.any(self.phi <= 0):
             raise ValidationError("phi must be positive, one per cluster")
         if self.xi.shape != (f,) or np.any(self.xi < 0):
             raise ValidationError("xi must be nonnegative, one per cluster")
-        if not np.array_equal(cluster_counts(self.assignment, f), self.sizes):
-            raise ValidationError("assignment counts do not match sizes")
 
     @classmethod
     def from_sizes(cls, sizes, phi=None, xi=None):
-        sizes = np.asarray(sizes, dtype=int)
-        f = len(sizes)
-        assignment = np.repeat(np.arange(1, f + 1), sizes)
-        if phi is None:
-            phi = np.ones(f)
-        if xi is None:
-            xi = np.zeros(f)
-        return cls(sizes=sizes, assignment=assignment, phi=phi, xi=xi)
+        return cls(sizes, phi, xi)
 
     @property
     def n(self):
@@ -103,12 +102,11 @@ class ClusterSpec:
         return len(self.sizes)
 
     def to_factor_model(self, phi_cov=None):
-        """The binary FactorModel of this layout on Phi = phi_cov, by default diag(phi)."""
-        return FactorModel(
-            phi_cov=np.diag(self.phi) if phi_cov is None else phi_cov,
-            xi=self.xi[self.assignment - 1],
-            assignment=self.assignment,
-        )
+        """The binary FactorModel of this layout, its clusters in consecutive
+        runs of alphas, on Phi = phi_cov, by default diag(phi)."""
+        return FactorModel(phi_cov=np.diag(self.phi) if phi_cov is None else phi_cov,
+                           xi=np.repeat(self.xi, self.sizes),
+                           assignment=np.repeat(np.arange(1, self.f + 1), self.sizes))
 
 
 @dataclass
@@ -116,7 +114,8 @@ class FactorModel:
     """Factor covariance, specific risks, and dense loadings `omega` or, for
     a binary model, only its 1-based cluster ids `assignment`: no N x F
     array, as `loadings()` builds Omega on demand for Gamma = diag(xi^2) +
-    Omega Phi Omega^T. Building the model sets `mode`, a binary model's
+    Omega Phi Omega^T. A binary model's ids lie in 1..F and every cluster
+    holds an alpha. Building the model sets `mode`, a binary model's
     cluster `sizes` (a dense model's sizes and assignment are None) and
     `phi_chol`, Phi's lower Cholesky factor."""
 
@@ -134,9 +133,12 @@ class FactorModel:
         if self.assignment is not None:
             if self.omega is not None:
                 raise ValidationError("a model takes loadings or cluster ids, not both")
-            self.mode, self.assignment = "binary", np.asarray(self.assignment, dtype=int)
+            self.mode, self.assignment = "binary", _integers(self.assignment, "cluster ids")
             n, f = len(self.assignment), len(self.phi_cov)
             self.sizes = cluster_counts(self.assignment, f)
+            if not self.sizes.all():
+                raise ValidationError(f"cluster sizes must be positive: "
+                                      f"cluster {np.argmin(self.sizes) + 1} has no alpha")
         else:
             self.omega = np.asarray(self.omega, dtype=float)
             if self.omega.ndim != 2:
@@ -212,23 +214,18 @@ class FactorModel:
 def _binary_doc_assignment(doc, f):
     """1-based cluster ids of a binary model document with F clusters:
     `assignment`, or else consecutive runs of `sizes`; where both are given
-    they must agree, and each cluster must hold an alpha."""
+    they must agree."""
     sizes = doc.get("sizes")
     if "assignment" in doc or sizes is None:
         assignment = np.asarray(doc["assignment"], dtype=int)
-    else:
-        try:
-            assignment = np.repeat(np.arange(1, len(sizes) + 1), np.asarray(sizes, dtype=int))
-        except (MemoryError, ValueError):  # ValueError: N overflows int64
-            raise ValidationError(
-                f"/sizes: N={sum(map(int, sizes))} alphas do not fit in memory") from None
-    counts = cluster_counts(assignment, f)
-    if "assignment" in doc and sizes is not None and counts.tolist() != sizes:
-        raise ValidationError(f"/sizes does not match /assignment's counts {counts.tolist()}")
-    if not counts.all():
+        if sizes is not None and (counts := cluster_counts(assignment, f).tolist()) != sizes:
+            raise ValidationError(f"/sizes does not match /assignment's counts {counts}")
+        return assignment
+    try:
+        return np.repeat(np.arange(1, len(sizes) + 1), np.asarray(sizes, dtype=int))
+    except (MemoryError, ValueError):  # ValueError: N overflows int64
         raise ValidationError(
-            f"cluster sizes must be positive: cluster {np.argmin(counts) + 1} has no alpha")
-    return assignment
+            f"/sizes: N={sum(map(int, sizes))} alphas do not fit in memory") from None
 
 
 def _is_number(x):
@@ -564,7 +561,7 @@ def model_eigenstructure(model):
         off = model.phi_cov - np.diag(np.diag(model.phi_cov))
         xi = _cluster_xi(model) if np.max(np.abs(off)) < 1e-15 else None
         if xi is not None:
-            spec = ClusterSpec(model.sizes, model.assignment, np.diag(model.phi_cov), xi)
+            spec = ClusterSpec(model.sizes, np.diag(model.phi_cov), xi)
             return binary_eigensystem(spec), "closed-form-binary"
         if np.all(model.xi == 0):
             return (reduce_nondiagonal(model.sizes, unit_diagonal(model.phi_cov)),
@@ -575,20 +572,16 @@ def model_eigenstructure(model):
 
 
 def _cluster_xi(model):
-    """Per-cluster specific risk of a binary model (0 for an empty cluster),
-    or None where xi varies within a cluster: the xi of each cluster's first
-    alpha, where every cluster's xi spans at most 1e-12."""
+    """Per-cluster specific risk of a binary model, or None where xi varies
+    within a cluster: the xi of each cluster's first alpha, where every
+    cluster's xi spans at most 1e-12."""
     cluster = model.assignment - 1
-    lo = np.full(model.f, np.inf)
-    hi = np.full(model.f, -np.inf)
+    lo, hi = np.full(model.f, np.inf), np.full(model.f, -np.inf)
     np.minimum.at(lo, cluster, model.xi)
     np.maximum.at(hi, cluster, model.xi)
-    if np.any(hi - lo > 1e-12):  # -inf for an empty cluster
+    if np.any(hi - lo > 1e-12):
         return None
-    used, first = np.unique(cluster, return_index=True)
-    xi = np.zeros(model.f)
-    xi[used] = model.xi[first]
-    return xi
+    return model.xi[np.unique(cluster, return_index=True)[1]]
 
 
 def _secular_poles(sizes, rho):

@@ -767,6 +767,18 @@ class TestModel:
                                                 rel=1e-12, abs=0)
 
 
+# the 547 bytes of `synth --seed 5 --n 12 --clusters 3 --factor-rho 0.25`'s model file
+PINNED_SYNTH_MODEL = (
+    '{"mode": "binary", "phi": [[1.7075043856180703, 0.4274265913216283, 0.3685811627087598], '
+    '[0.4274265913216283, 1.7119111846047403, 0.36905648109346895], '
+    '[0.3685811627087598, 0.36905648109346895, 1.272988341563213]], '
+    '"xi": [0.2858013800881416, 0.2858013800881416, 0.2858013800881416, 0.2858013800881416, '
+    '0.053930702381656426, 0.053930702381656426, 0.053930702381656426, 0.053930702381656426, '
+    '0.38336888078551823, 0.38336888078551823, 0.38336888078551823, 0.38336888078551823], '
+    '"assignment": [1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3], "sizes": [4, 4, 4]}\n'
+).encode()
+
+
 class TestSynth:
     def test_byte_identical_reruns(self, tmp_path):
         argv = [
@@ -779,6 +791,15 @@ class TestSynth:
         assert run(argv + ["--panel-out", str(p2), "--model-out", str(m2)]) == 0
         assert p1.read_bytes() == p2.read_bytes()
         assert m1.read_bytes() == m2.read_bytes()
+
+    def test_model_bytes_pinned(self, tmp_path):
+        # the same bytes in every tree, where test_byte_identical_reruns
+        # compares one tree with itself; equal sizes and a uniform rho, so
+        # no LAPACK call or multinomial draw enters the file
+        p, m = tmp_path / "p.csv", tmp_path / "m.json"
+        assert run(["synth", "--seed", "5", "--n", "12", "--clusters", "3",
+                    "--factor-rho", "0.25", "--panel-out", str(p), "--model-out", str(m)]) == 0
+        assert m.read_bytes() == PINNED_SYNTH_MODEL
 
     def test_panel_roundtrips_and_model_loads(self, tmp_path):
         p, m = tmp_path / "p.csv", tmp_path / "m.json"
@@ -1042,7 +1063,10 @@ class TestFTest:
         (["a0,1,2", "a1,1", "a2,2", "a3,2"], "{w}: row 2 must have 2 fields"),
         # cluster ids 1 and 3: the loadings have an empty second column
         (["a0,1", "a1,1", "a2,3", "a3,3"], "omega_old: cluster column 2 is empty"),
-    ], ids=["three-fields", "skipped-cluster"])
+        # a0 listed twice: without the check, its last row would win
+        (["a0,1", "a1,1", "a0,2", "a2,2", "a3,2"],
+         "{w}: row 4: alpha 'a0' is already listed in row 2"),
+    ], ids=["three-fields", "skipped-cluster", "alpha-twice"])
     def test_bad_loadings_exit_2(self, tmp_path, capsys, rows, message):
         p = tmp_path / "p.csv"
         self._write_panel(p, np.random.default_rng(3).standard_normal((4, 4)) + 1.0,

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -101,13 +102,52 @@ class TestBuildCovariance:
         with pytest.raises(ValidationError, match="loadings or cluster ids, not both"):
             fm.FactorModel(omega=np.eye(2), phi_cov=np.eye(2), xi=np.zeros(2), assignment=[1, 2])
 
-    # FactorModel and ClusterSpec share from_doc's check of the ids
+    # FactorModel, the one holder of cluster ids, shares from_doc's check of them
     @pytest.mark.parametrize("ids", [[0, 1, 2], [1, 2, 3]], ids=["below", "above"])
     def test_cluster_ids_out_of_range(self, ids):
         with pytest.raises(ValidationError, match=r"^cluster ids must lie in 1\.\.2$"):
             fm.FactorModel(assignment=ids, phi_cov=np.eye(2), xi=np.zeros(3))
-        with pytest.raises(ValidationError, match=r"^cluster ids must lie in 1\.\.2$"):
-            fm.ClusterSpec(sizes=[1, 2], assignment=ids, phi=[1.0, 1.0], xi=[0.0, 0.0])
+
+    # a cluster with no alpha is rejected at construction with from_doc's
+    # message, whatever path the model would take: closed-form-binary (xi
+    # zero or uniform, diagonal Phi), closed-form-nondiagonal (xi zero) or
+    # dense
+    @pytest.mark.parametrize("xi", [[0.0] * 3, [0.1] * 3, [0.1, 0.2, 0.3]],
+                             ids=["xi-zero", "xi-uniform", "xi-per-alpha"])
+    @pytest.mark.parametrize("phi", [np.eye(2), np.array([[1.0, 0.5], [0.5, 1.0]])],
+                             ids=["diagonal", "nondiagonal"])
+    def test_empty_cluster_rejected(self, xi, phi):
+        with pytest.raises(ValidationError,
+                           match="^cluster sizes must be positive: cluster 2 has no alpha$"):
+            fm.FactorModel(assignment=[1, 1, 1], phi_cov=phi, xi=xi)
+
+    # an id or a size that is not an integer would be truncated or wrapped
+    # by the int cast
+    @pytest.mark.parametrize("bad", [1.5, math.nan, math.inf, 1e20],
+                             ids=["fraction", "nan", "inf", "beyond-int64"])
+    def test_non_integer_ids_and_sizes_rejected(self, bad):
+        want = re.escape(f"must be 64-bit integers, got {bad}") + "$"
+        with pytest.raises(ValidationError, match=f"^cluster ids {want}"):
+            fm.FactorModel(assignment=[1, bad, 2], phi_cov=np.eye(2), xi=np.zeros(3))
+        with pytest.raises(ValidationError, match=f"^cluster sizes {want}"):
+            fm.ClusterSpec.from_sizes([2, bad])
+
+    def test_integer_valued_floats_accepted(self):
+        model = fm.FactorModel(assignment=[1.0, 2.0, 2.0], phi_cov=np.eye(2), xi=np.zeros(3))
+        np.testing.assert_array_equal(model.sizes, [1, 2])
+        np.testing.assert_array_equal(fm.ClusterSpec.from_sizes([2.0, 1.0]).sizes, [2, 1])
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValidationError, match="^cluster sizes must be positive$"):
+            fm.ClusterSpec.from_sizes([2, -1])
+
+    def test_cluster_spec_holds_no_ids(self):
+        spec = fm.ClusterSpec([3, 1], [2.0, 0.5], [0.1, 0.2])
+        assert not hasattr(spec, "assignment")
+        model = spec.to_factor_model()
+        np.testing.assert_array_equal(model.assignment, [1, 1, 1, 2])
+        np.testing.assert_array_equal(model.xi, [0.1, 0.1, 0.1, 0.2])
+        np.testing.assert_array_equal(model.sizes, spec.sizes)
 
     # each row breaks the F-test's one-hot rule, which both loadings
     # arguments share: a fraction, a negative entry, two ones, no one

@@ -9,7 +9,8 @@ repeated alphas deflated too, a deflated block gathered from Phi gives
 what one read from the assembled matrix gives, the reduced model solvers
 give eigh's rho_star at a tied top, the model-document check
 reports what jsonschema reports, _cluster_xi gives what a per-cluster loop
-gives, the F-test's cluster-mean F-statistics give what one least-squares
+gives, a binary model solves as the closed form of its ClusterSpec, the
+F-test's cluster-mean F-statistics give what one least-squares
 fit per time step gives, and the np.loadtxt panel and correlation loaders
 read any file as csv.reader and a per-cell float() loop read it."""
 
@@ -550,8 +551,9 @@ def dense_path_models(draw):
     xi = rng.uniform(0.1, 1.0, n)
     if draw(st.booleans()):
         return fm.FactorModel(omega=rng.uniform(0.1, 1.0, (n, f)), phi_cov=phi, xi=xi)
-    # n > f alphas in f clusters: some cluster has two, with distinct xi
-    assignment = rng.integers(1, f + 1, n)
+    # n > f alphas in f clusters, each used: some cluster has two, with distinct xi
+    assignment = rng.permutation(np.concatenate([np.arange(1, f + 1),
+                                                 rng.integers(1, f + 1, n - f)]))
     return fm.FactorModel(assignment=assignment, phi_cov=phi, xi=xi)
 
 
@@ -791,6 +793,34 @@ def test_reduced_solvers_apply_the_tie_rule(model):
         assert structure.rho_star <= floor
 
 
+@st.composite
+def cluster_specs(draw):
+    """ClusterSpecs of 1-6 clusters of 1-6 alphas, with phi in [0.5, 2] and
+    xi each 0, -0.0 or drawn from [0.1, 3], each paired with the generator
+    that drew it, to permute the alphas of the model built from it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = draw(st.integers(1, 6))
+    xi = rng.choice([0.0, -0.0, rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0)], f)
+    return fm.ClusterSpec(rng.integers(1, 7, f), rng.uniform(0.5, 2.0, f), xi), rng
+
+
+@given(drawn=cluster_specs())
+def test_model_closed_form_is_its_cluster_spec_closed_form(drawn):
+    """model_eigenstructure of a ClusterSpec's model, its alphas in runs or
+    permuted (ids and xi together), is closed-form-binary with the
+    EigenStructure binary_eigensystem gives the spec."""
+    spec, rng = drawn
+    want = fm.binary_eigensystem(spec).to_dict()
+    model = spec.to_factor_model()
+    perm = rng.permutation(model.n)
+    shuffled = fm.FactorModel(assignment=model.assignment[perm], phi_cov=model.phi_cov,
+                              xi=model.xi[perm])
+    for m in (model, shuffled):
+        structure, method = fm.model_eigenstructure(m)
+        assert method == "closed-form-binary"
+        assert structure.to_dict() == want
+
+
 def loop_cluster_xi(model):
     """The per-cluster loop that _cluster_xi replaced."""
     assignment = model.assignment
@@ -804,11 +834,18 @@ def loop_cluster_xi(model):
     return xi
 
 
+def full_layouts(f, max_size=12):
+    """Lists of 1-based cluster ids that use each of f clusters: a
+    permutation of 1..f plus extra draws, in any order."""
+    return st.lists(st.integers(1, f), max_size=max_size - f).flatmap(
+        lambda extra: st.permutations(list(range(1, f + 1)) + extra))
+
+
 @given(f=st.integers(1, 5), data=st.data())
 def test_cluster_xi_matches_per_cluster_loop(f, data):
-    """Same xi, or None, as the loop, with empty clusters and within-cluster
-    spreads on either side of 1e-12."""
-    assignment = data.draw(st.lists(st.integers(1, f), min_size=1, max_size=12))
+    """Same xi, or None, as the loop, with within-cluster spreads on either
+    side of 1e-12."""
+    assignment = data.draw(full_layouts(f))
     base = data.draw(st.lists(st.sampled_from([0.0, 0.3, 1.0]), min_size=f, max_size=f))
     jitter = data.draw(st.lists(st.sampled_from([0.0, 0.0, 4e-13, 1e-12, 3e-12]),
                                 min_size=len(assignment), max_size=len(assignment)))
@@ -823,13 +860,19 @@ def test_cluster_xi_matches_per_cluster_loop(f, data):
 @given(f=st.integers(1, 5), empty=st.integers(0, 2), data=st.data())
 def test_binary_layout_matches_loadings(f, empty, data):
     """A binary model's assignment and sizes are the argmax + 1 and the
-    column sums of the one-hot loadings it builds, with `empty` clusters
-    that hold no alpha."""
-    assignment = data.draw(st.lists(st.integers(1, f), min_size=1, max_size=12))
-    model = fm.FactorModel(assignment=assignment, phi_cov=np.eye(f + empty),
+    column sums of the one-hot loadings it builds; with `empty` more
+    clusters that hold no alpha, building the model fails naming the
+    first."""
+    assignment = data.draw(full_layouts(f))
+    if empty:
+        with pytest.raises(ValidationError, match=f"^cluster sizes must be positive: "
+                                                  f"cluster {f + 1} has no alpha$"):
+            fm.FactorModel(assignment=assignment, phi_cov=np.eye(f + empty),
                            xi=np.zeros(len(assignment)))
+        return
+    model = fm.FactorModel(assignment=assignment, phi_cov=np.eye(f), xi=np.zeros(len(assignment)))
     omega = model.loadings()
-    assert omega.shape == (len(assignment), f + empty)
+    assert omega.shape == (len(assignment), f)
     assert np.isin(omega, (0.0, 1.0)).all()
     assert np.array_equal(model.assignment, np.argmax(omega, axis=1) + 1)
     assert np.array_equal(model.sizes, omega.sum(axis=0))
