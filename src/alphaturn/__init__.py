@@ -12,10 +12,9 @@ _EXPORTS = {
     name: module
     for module, names in {
         "errors": ["NumericalError", "ValidationError"],
-        "panel": ["AlphaPanel", "CorrelationMatrix", "SignVector", "canonicalize_signs",
-                  "deform_correlation", "load_panel", "pairwise_correlation", "regress_out"],
-        "spectral": ["SpectralSummary", "TurnoverInputs", "gamma_diagnostic",
-                     "spectral_summary", "turnover_estimate"],
+        "panel": ["AlphaPanel", "CorrelationMatrix", "canonicalize_signs", "deform_correlation",
+                  "load_panel", "pairwise_correlation", "regress_out"],
+        "spectral": ["SpectralSummary", "spectral_summary"],
         "factor_model": ["AllocationPlan", "ClusterSpec", "EigenStructure", "FactorModel",
                          "NonbinaryBound", "binary_eigensystem", "build_covariance",
                          "dense_rho_star", "nonbinary_bound", "optimal_allocation",

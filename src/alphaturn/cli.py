@@ -52,6 +52,8 @@ def cmd_analyze(args):
     from . import spectral as spectral_mod
 
     if args.corr:
+        if args.factors:
+            raise ValidationError("--factors needs a panel input; it cannot be used with --corr")
         corr = panel_mod.load_correlation(args.input)
     else:
         panel = panel_mod.load_panel(args.input, na_policy=args.na_policy)
@@ -65,8 +67,8 @@ def cmd_analyze(args):
         deformed = True
     signs = None
     if not args.raw_basis:
-        sign_vec, corr = panel_mod.canonicalize_signs(corr)
-        signs = sign_vec.signs.tolist()
+        signs, corr = panel_mod.canonicalize_signs(corr)
+        signs = signs.tolist()
     doc = {**spectral_mod.spectral_summary(corr).to_dict(),
            "cluster_lower_bound": clusters_mod.lower_bound_F(corr).lower_bound,
            "deformed": deformed}

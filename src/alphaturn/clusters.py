@@ -37,7 +37,6 @@ class ClusterCountEstimate:
     """Lower bound N / psi_star on the cluster count."""
 
     lower_bound: float
-    psi_star: float
 
     @property
     def lower_bound_ceiling(self):
@@ -74,7 +73,7 @@ class FTestReport:
 
 def lower_bound_from_psi(n, psi_star):
     """The bound F >~ N / psi_star."""
-    return ClusterCountEstimate(lower_bound=n / psi_star, psi_star=float(psi_star))
+    return ClusterCountEstimate(lower_bound=n / psi_star)
 
 
 def lower_bound_F(corr):

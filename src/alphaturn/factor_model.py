@@ -309,10 +309,6 @@ class EigenStructure:
             out.extend([val] * mult)
         return np.sort(np.asarray(out))[::-1]
 
-    @property
-    def total(self):
-        return sum(v * m for v, m in self.values)
-
     def to_dict(self):
         return {"values": [{"value": v, "mult": m} for v, m in self.values],
                 "rho_star": self.rho_star, "top_cluster": self.top_cluster}

@@ -79,7 +79,7 @@ class CorrelationMatrix:
     where that declines. Nothing is computed at construction.
     """
 
-    def __init__(self, psi, *, min_overlap=0, labels=None, spectrum=None):
+    def __init__(self, psi, *, labels=None, spectrum=None):
         self.psi = np.asarray(psi, dtype=float)
         n = self.psi.shape[0]
         if self.psi.shape != (n, n):
@@ -100,9 +100,7 @@ class CorrelationMatrix:
             raise ValidationError("correlation matrix diagonal must be exactly 1")
         if np.max(np.abs(self.psi)) > 1.0 + 1e-12:
             raise ValidationError("off-diagonal correlations must lie in [-1, 1]")
-        self.min_overlap = min_overlap
         self.labels = [f"a{i + 1}" for i in range(n)] if labels is None else labels
-        self._psd = None
         self._spectrum = spectrum
         self._eigenvalues = None
         self._top = None
@@ -130,9 +128,7 @@ class CorrelationMatrix:
 
     @property
     def psd(self):
-        if self._psd is None:
-            self._psd = eigen.is_positive_definite(self.spectrum[0])
-        return self._psd
+        return eigen.is_positive_definite(self.spectrum[0])
 
     def top_pair(self):
         """(psi1, V1), cached: from eigen.power_top_pair where no spectrum is
@@ -144,14 +140,6 @@ class CorrelationMatrix:
             if self._top is None:
                 self._top = eigen.top_eigenvector(*self.spectrum)
         return self._top
-
-
-@dataclass
-class SignVector:
-    """Per-alpha signs chosen to raise the total correlation sum."""
-
-    signs: np.ndarray
-    objective: float
 
 
 def unit_diagonal(cov):
@@ -326,8 +314,8 @@ def _atomic_write(path, text):
 def pairwise_correlation(panel, min_overlap=12):
     """Pearson correlation over pairwise-complete observations.
 
-    Raises if any pair has fewer than min_overlap joint observations or a
-    column has zero variance.
+    Raises if any pair has fewer than min_overlap joint observations (or
+    none, whatever min_overlap is) or a column has zero variance.
     """
     x = panel.values
     obs = (~np.isnan(x)).astype(float)
@@ -335,7 +323,7 @@ def pairwise_correlation(panel, min_overlap=12):
 
     cnt = obs.T @ obs  # joint observation counts
     i, j = np.unravel_index(np.argmin(cnt), cnt.shape)
-    if cnt[i, j] < min_overlap:
+    if cnt[i, j] < max(min_overlap, 1):
         raise ValidationError(
             f"pair ({panel.labels[i]!r}, {panel.labels[j]!r}) has only "
             f"{int(cnt[i, j])} joint observations (min_overlap={min_overlap})"
@@ -364,7 +352,7 @@ def pairwise_correlation(panel, min_overlap=12):
         )
     psi = np.clip((psi + psi.T) / 2.0, -1.0, 1.0)
     np.fill_diagonal(psi, 1.0)
-    return CorrelationMatrix(psi, min_overlap=int(cnt.min()), labels=list(panel.labels))
+    return CorrelationMatrix(psi, labels=list(panel.labels))
 
 
 def regress_out(panel, factors):
@@ -399,9 +387,9 @@ def canonicalize_signs(corr):
 
     Scans indices in ascending order and flips any sign whose row sum is
     negative; stops after a full pass with no flip, or after 100 N passes.
-    Returns the sign vector and the re-signed matrix S Psi S, which carries
-    over a cached spectrum: its eigenvalues are Psi's and its eigenvectors
-    S V.
+    Returns the +-1 sign array s and the re-signed matrix S Psi S, which
+    carries over a cached spectrum: its eigenvalues are Psi's and its
+    eigenvectors S V.
     """
     psi = corr.psi
     n = corr.n
@@ -420,9 +408,9 @@ def canonicalize_signs(corr):
         w, v = corr._spectrum
         spectrum = (w, s[:, None] * v)
     # the diagonal stays exactly 1, as s_i^2 = 1
-    new_corr = CorrelationMatrix(psi * np.outer(s, s), min_overlap=corr.min_overlap,
-                                 labels=list(corr.labels), spectrum=spectrum)
-    return SignVector(signs=s.copy(), objective=float(s @ psi @ s)), new_corr
+    new_corr = CorrelationMatrix(psi * np.outer(s, s), labels=list(corr.labels),
+                                 spectrum=spectrum)
+    return s, new_corr
 
 
 def deform_correlation(corr):
@@ -436,7 +424,7 @@ def deform_correlation(corr):
     w_new = np.where(keep, w, w[keep].min())
     # the clip keeps the unit diagonal
     psi_new = np.clip(unit_diagonal((v * w_new) @ v.T), -1.0, 1.0)
-    return CorrelationMatrix(psi_new, min_overlap=corr.min_overlap, labels=list(corr.labels))
+    return CorrelationMatrix(psi_new, labels=list(corr.labels))
 
 
 def load_correlation(path):

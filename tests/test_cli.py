@@ -87,6 +87,26 @@ class TestAnalyze:
         assert run(["analyze", str(tmp_path / "nope.csv")]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("factors", ["factors.csv", "nope.csv"])
+    def test_factors_with_corr_exit_2(self, tmp_path, capsys, factors):
+        # --factors regresses a panel; a correlation input cannot honour it
+        path = tmp_path / "corr.csv"
+        write_corr(path, np.eye(3))
+        (tmp_path / "factors.csv").write_text("time,f\n1,0.5\n2,0.1\n3,0.3\n")
+        out = tmp_path / "out.json"
+        code = run(["analyze", str(path), "--corr", "--factors", str(tmp_path / factors),
+                    "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and "--factors" in err and "--corr" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("min_overlap", ["0", "1"])
+    def test_pair_with_no_joint_observation_exit_2(self, tmp_path, capsys, min_overlap):
+        path = tmp_path / "panel.csv"
+        path.write_text("time,a1,a2,a3\n1,0.1,,0.2\n2,0.3,,0.5\n3,,0.2,0.1\n4,,0.4,0.7\n")
+        assert run(["analyze", str(path), "--min-overlap", min_overlap]) == 2
+        assert "pair ('a1', 'a2') has only 0 joint observations" in capsys.readouterr().err
+
     def test_config_overrides_min_overlap(self, tmp_path):
         rng = np.random.default_rng(1)
         vals = rng.standard_normal((6, 3))

@@ -161,7 +161,7 @@ class TestSpectrumCache:
 
     def test_canonicalize_without_spectrum_computes_nothing(self):
         _, new = pm.canonicalize_signs(fresh(random_corr(20, seed=6)))
-        assert new._spectrum is None and new._psd is None
+        assert new._spectrum is None
 
 
 class TestDowndateSweep:

@@ -184,7 +184,7 @@ class TestBinaryEigensystem:
         spec = fm.ClusterSpec.from_sizes([4], xi=np.array([1.0]))
         eig = fm.binary_eigensystem(spec)
         assert np.allclose(eig.eigenvalues(), [2.5, 0.5, 0.5, 0.5])
-        assert eig.total == pytest.approx(4.0, abs=1e-12)
+        assert eig.eigenvalues().sum() == pytest.approx(4.0, abs=1e-12)
 
     def test_trace_is_n(self):
         rng = np.random.default_rng(12)
@@ -195,7 +195,7 @@ class TestBinaryEigensystem:
                 sizes, phi=rng.uniform(0.5, 2.0, f), xi=rng.uniform(0.0, 1.0, f)
             )
             eig = fm.binary_eigensystem(spec)
-            assert eig.total == pytest.approx(spec.n, rel=1e-12)
+            assert eig.eigenvalues().sum() == pytest.approx(spec.n, rel=1e-12)
 
     def test_matches_dense_eigenvalues(self):
         rng = np.random.default_rng(13)
@@ -400,6 +400,42 @@ class TestReduceNonbinary:
         model = fm.FactorModel(omega=omega, phi_cov=np.eye(2), xi=np.zeros(5))
         with pytest.raises(ValidationError, match="column"):
             fm.reduce_nonbinary(model)
+
+
+class TestFiniteInstruments:
+    """The paper's second claim at xi = 0, checked numerically (not proved):
+    with K fixed instruments, rho* levels off above zero as N grows, where
+    F clusters would give F^-3/2. With psi = lam lam^T, lam the unit loading
+    rows, the top pair of lam^T lam / N = (mu, c) gives psi1 = N mu and
+    V1 = lam c / sqrt(N mu), so rho* = sqrt(mu) |ubar . c| at every N, with
+    ubar the mean row."""
+
+    K = 5
+    MEAN = np.linspace(-0.5, 1.0, K)
+
+    def model(self, n):
+        omega = self.MEAN + 0.5 * np.random.default_rng(n).standard_normal((n, self.K))
+        return fm.FactorModel(omega=omega, phi_cov=np.eye(self.K), xi=np.zeros(n))
+
+    def test_rho_star_levels_off_above_zero(self):
+        values = []
+        for n in (10**3, 10**4, 10**5, 10**6):
+            model = self.model(n)
+            eig, method = fm.model_eigenstructure(model)
+            assert method == "reduced-nonbinary"
+            lam = model.omega / np.linalg.norm(model.omega, axis=1)[:, None]
+            mu, c = np.linalg.eigh(lam.T @ lam / n)
+            limit = math.sqrt(mu[-1]) * abs(lam.mean(axis=0) @ c[:, -1])
+            assert eig.rho_star == pytest.approx(limit, rel=1e-12)
+            values.append(eig.rho_star)
+        assert max(values) / min(values) < 1.02
+        assert min(values) > 0.5
+
+    def test_matches_dense_eigh(self):
+        model = self.model(10**3)
+        w, v = np.linalg.eigh(fm.build_covariance(model).psi)
+        dense = w[-1] * abs(v[:, -1].sum()) / model.n**1.5
+        assert fm.model_eigenstructure(model)[0].rho_star == pytest.approx(dense, rel=1e-9)
 
 
 class TestSecular:

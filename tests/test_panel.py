@@ -236,12 +236,17 @@ class TestPairwiseCorrelation:
         corr = pm.pairwise_correlation(panel, min_overlap=3)
         expected = 3.0 / np.sqrt(2.0 * 14.0 / 3.0)
         assert corr.psi[0, 1] == pytest.approx(expected, abs=1e-12)
-        assert corr.min_overlap == 3
 
     def test_min_overlap_violation_names_pair(self):
         panel = self._panel([[1, 2, 3, 4, np.nan], [np.nan, 1, 2, 4, 8]])
         with pytest.raises(ValidationError, match="'a0'.*'a1'"):
             pm.pairwise_correlation(panel, min_overlap=4)
+
+    @pytest.mark.parametrize("min_overlap", [0, -1])
+    def test_no_joint_observation_names_pair(self, min_overlap):
+        panel = self._panel([[1, 2, np.nan, np.nan], [np.nan, np.nan, 3, 5]])
+        with pytest.raises(ValidationError, match="'a0', 'a1'.* 0 joint observations"):
+            pm.pairwise_correlation(panel, min_overlap=min_overlap)
 
     def test_zero_variance_column(self):
         panel = self._panel([[1, 1, 1, 1], [1, 2, 3, 4]])
@@ -340,13 +345,13 @@ class TestCanonicalizeSigns:
     def test_two_by_two_negative(self):
         corr = make_corr([[1.0, -0.6], [-0.6, 1.0]])
         signs, new = pm.canonicalize_signs(corr)
-        assert list(signs.signs) in ([1, -1], [-1, 1])
+        assert list(signs) in ([1, -1], [-1, 1])
         assert new.psi[0, 1] == pytest.approx(0.6)
 
     def test_positive_matrix_is_fixed_point(self):
         psi = np.array([[1.0, 0.2, 0.4], [0.2, 1.0, 0.1], [0.4, 0.1, 1.0]])
         signs, new = pm.canonicalize_signs(make_corr(psi))
-        assert np.all(signs.signs == 1)
+        assert np.all(signs == 1)
         assert np.allclose(new.psi, psi)
 
     def test_three_by_three_matches_brute_force(self):
@@ -359,7 +364,7 @@ class TestCanonicalizeSigns:
             np.asarray(s) @ psi @ np.asarray(s)
             for s in itertools.product([1, -1], repeat=3)
         )
-        assert signs.objective == pytest.approx(best, abs=1e-12)
+        assert signs @ psi @ signs == pytest.approx(best, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_never_below_input_and_keeps_spectrum(self, seed):
@@ -368,7 +373,7 @@ class TestCanonicalizeSigns:
         psi = np.corrcoef(a)
         corr = make_corr(psi)
         signs, new = pm.canonicalize_signs(corr)
-        assert signs.objective >= np.sum(psi) - 1e-12
+        assert signs @ psi @ signs >= np.sum(psi) - 1e-12
         assert np.allclose(
             np.sort(np.linalg.eigvalsh(new.psi)),
             np.sort(np.linalg.eigvalsh(psi)),

@@ -373,7 +373,7 @@ def test_canonicalize_signs_keeps_psi1_and_rho_star(psi, cached):
     assert fresh_summary.rho_star == pytest.approx(summary.rho_star, rel=1e-10, abs=1e-14)
 
     signs, again = pm.canonicalize_signs(canon)
-    assert np.all(signs.signs == 1.0)
+    assert np.all(signs == 1.0)
     np.testing.assert_array_equal(again.psi, canon.psi)
     assert sp.spectral_summary(again).rho_star == pytest.approx(summary.rho_star,
                                                                 rel=1e-10, abs=1e-14)

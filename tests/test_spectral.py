@@ -108,57 +108,25 @@ class TestSpectralSummary:
             make_corr(psi)
 
 
-class TestTurnover:
-    def test_uniform_example(self):
-        summary = sp.spectral_summary(uniform_corr(10, 0.5))
-        inputs = sp.TurnoverInputs(taus=np.full(10, 0.2), weights=np.full(10, 0.1))
-        t = sp.turnover_estimate(summary, inputs)
-        assert t == pytest.approx(0.55 * 0.2, abs=1e-12)
-
-    def test_weight_normalization_enforced(self):
-        with pytest.raises(ValidationError):
-            sp.TurnoverInputs(taus=np.ones(3), weights=np.full(3, 0.5))
-
-    def test_negative_tau_rejected(self):
-        with pytest.raises(ValidationError):
-            sp.TurnoverInputs(taus=np.array([-0.1, 0.2]), weights=np.array([0.5, 0.5]))
-
-    def test_mixed_sign_weights(self):
-        summary = sp.spectral_summary(make_corr(np.eye(4)))
-        inputs = sp.TurnoverInputs(
-            taus=np.array([0.1, 0.2, 0.3, 0.4]),
-            weights=np.array([0.25, -0.25, 0.25, -0.25]),
-        )
-        assert sp.turnover_estimate(summary, inputs) == pytest.approx(
-            0.25 * 0.25 * 1.0, abs=1e-12
-        )
-
-
 class TestGamma:
     def test_gamma_identity(self):
         rng = np.random.default_rng(4)
         a = np.abs(rng.standard_normal((80, 6))) + 0.1
         psi = np.corrcoef(a.T)
         summary = sp.spectral_summary(make_corr(psi))
-        assert sp.gamma_diagnostic(summary) == pytest.approx(
-            summary.rho_star / summary.rho_prime, abs=1e-12
-        )
+        assert summary.gamma == pytest.approx(summary.rho_star / summary.rho_prime, abs=1e-12)
 
     def test_gamma_uniform_is_one(self):
         summary = sp.spectral_summary(uniform_corr(30, 0.4))
-        assert sp.gamma_diagnostic(summary) == pytest.approx(1.0, abs=1e-10)
+        assert summary.gamma == pytest.approx(1.0, abs=1e-10)
 
     def test_negative_rho_prime_advises_canonicalization(self):
-        psi = np.array(
-            [[1.0, -0.9, -0.9], [-0.9, 1.0, 0.8], [-0.9, 0.8, 1.0]]
-        )
-        # make it PSD enough to construct
-        w = np.linalg.eigvalsh(psi)
-        psi = psi + (abs(min(w[0], 0)) + 0.05) * np.eye(3)
-        d = np.sqrt(np.diag(psi))
-        psi = psi / np.outer(d, d)
-        np.fill_diagonal(psi, 1.0)
-        summary = sp.spectral_summary(make_corr(psi))
-        if summary.rho_prime <= 0:
-            with pytest.raises(ValidationError, match="canonicaliz"):
-                sp.gamma_diagnostic(summary)
+        # off-diagonals of -0.9 sum below zero: gamma is undefined until
+        # canonicalize_signs re-signs the matrix
+        corr = uniform_corr(3, -0.9)
+        summary = sp.spectral_summary(corr)
+        assert summary.rho_prime < 0
+        assert summary.gamma is None
+        canon = sp.spectral_summary(pm.canonicalize_signs(corr)[1])
+        assert canon.rho_prime > 0
+        assert canon.gamma == pytest.approx(canon.rho_star / canon.rho_prime, abs=1e-12)
