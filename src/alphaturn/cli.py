@@ -52,15 +52,19 @@ def cmd_analyze(args):
     from . import spectral as spectral_mod
 
     if args.corr:
-        if args.factors:
-            raise ValidationError("--factors needs a panel input; it cannot be used with --corr")
+        for flag, value in [("--factors", args.factors), ("--min-overlap", args.min_overlap),
+                            ("--na-policy", args.na_policy)]:
+            if value is not None:
+                raise ValidationError(f"{flag} needs a panel input; it cannot be used with --corr")
         corr = panel_mod.load_correlation(args.input)
     else:
-        panel = panel_mod.load_panel(args.input, na_policy=args.na_policy)
+        na_policy = args.na_policy or "literal_NA"
+        panel = panel_mod.load_panel(args.input, na_policy=na_policy)
         if args.factors:
-            factors = panel_mod.load_panel(args.factors, na_policy=args.na_policy)
+            factors = panel_mod.load_panel(args.factors, na_policy=na_policy)
             panel = panel_mod.regress_out(panel, factors)
-        corr = panel_mod.pairwise_correlation(panel, min_overlap=args.min_overlap)
+        min_overlap = 12 if args.min_overlap is None else args.min_overlap
+        corr = panel_mod.pairwise_correlation(panel, min_overlap=min_overlap)
     deformed = False
     if args.deform and not corr.psd:
         corr = panel_mod.deform_correlation(corr)
@@ -231,8 +235,9 @@ def build_parser():
     p.add_argument("--factors", help="factor panel CSV to regress out")
     p.add_argument("--deform", action="store_true", help="repair non-PD matrices")
     p.add_argument("--raw-basis", action="store_true", help="skip sign canonicalization")
-    p.add_argument("--min-overlap", type=int, default=12)
-    p.add_argument("--na-policy", choices=["empty_cell", "literal_NA"], default="literal_NA")
+    p.add_argument("--min-overlap", type=int, help="panel input only (default 12)")
+    p.add_argument("--na-policy", choices=["empty_cell", "literal_NA"],
+                   help="panel input only (default literal_NA)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_analyze)
 

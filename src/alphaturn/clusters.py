@@ -84,8 +84,8 @@ def lower_bound_F(corr):
 def residual_correlation_sweep(corr, k_max):
     """Mean/median off-diagonal correlation of the residuals of the
     normalized alphas regressed (through the origin) on the top-K principal
-    components, for K = 1..k_max. Steps with a residual variance below the
-    floor are skipped.
+    components, for K = 1..k_max, which corr.top_pairs(k_max) gives. Steps
+    with a residual variance below the floor are skipped.
 
     The residual is exact as a running rank-1 downdate,
     (I - V V^T) Psi (I - V V^T) = Psi - sum_{j<=K} w_j v_j v_j^T, which keeps
@@ -101,17 +101,16 @@ def residual_correlation_sweep(corr, k_max):
         raise ValidationError(
             "correlation matrix is not positive definite; deform it first"
         )
-    w, v = corr.spectrum
-    order = np.argsort(w)[::-1]
+    w, v = corr.top_pairs(k_max)
 
     i0, i1 = np.triu_indices(n, 1)
     resid = psi[i0, i1]
     var = np.diag(psi).copy()
     ks, z1s, z2s, skipped = [], [], [], []
     for k in range(1, k_max + 1):
-        pc = v[:, order[k - 1]]
-        resid -= w[order[k - 1]] * (pc[i0] * pc[i1])
-        var -= w[order[k - 1]] * pc**2
+        pc = v[:, k - 1]
+        resid -= w[k - 1] * (pc[i0] * pc[i1])
+        var -= w[k - 1] * pc**2
         if np.any(var < RESIDUAL_VAR_FLOOR):
             skipped.append(k)
             continue

@@ -1,11 +1,13 @@
 """The rules shared by every consumer of a correlation matrix's spectrum,
 each decided here once: the noise floor, the tie rule for a degenerate top
-eigenspace, and the guard on a top eigenvector found by power iteration.
+eigenspace, and the guarded solver for the top of a spectrum.
 
-The spectrum itself is computed and cached on ``CorrelationMatrix``. A top
-eigenpair is read from the full eigendecomposition with
-``top_eigenvector``, or from the eigenvalues alone with the guarded
-``power_top_pair``.
+The full spectrum is computed and cached on ``CorrelationMatrix``; a top
+eigenpair is read from it with ``top_eigenvector``. A consumer that needs
+only the top k pairs takes them from ``top_pairs``, a block subspace
+iteration that returns None wherever it cannot prove its answer, and
+reads the spectrum only then. ``certify_positive`` is the one Cholesky
+test that both ``top_pairs`` and ``CorrelationMatrix.psd`` rest on.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ PSD_TOL = 1e-10
 # Relative gap below which eigenvalues are treated as a degenerate top
 # eigenspace.
 DEGEN_TOL = 1e-10
+
+EPS = np.finfo(float).eps
 
 
 def noise_floor(w):
@@ -63,64 +67,147 @@ def top_eigenvector(w, v):
     return w[-1], unit_nonnegative_sum(vec)
 
 
-# A top eigenvector found by power iteration is kept only when its residual
-# |Psi V1 - psi1 V1| is at most this fraction of the eigengap psi1 - psi2:
-# by the Davis-Kahan bound it then lies within about this angle (in
-# radians) of the top eigenvector.
+def certify_positive(m):
+    """True where one Cholesky of the symmetric n x n matrix m, less
+    2 n (n + 1) eps max(m_ii) on its diagonal, succeeds: that is twice the
+    bound on a Cholesky's backward error (Higham 2002, Thm 10.3, with
+    (|R^T| |R|)_ij <= sqrt(m_ii m_jj)), so m is then positive definite
+    whatever the rounding. False proves nothing. m is overwritten."""
+    n = len(m)
+    m.flat[::n + 1] -= 2 * n * (n + 1) * EPS * max(np.max(np.diagonal(m)), 0.0)
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+# A top eigenpair found by iteration is kept only when its residual
+# |Psi v - theta v| is at most this fraction of the gap between theta and
+# the rest of the spectrum: by the Davis-Kahan bound v then lies within
+# about this angle (in radians) of the eigenvector.
 TOP_RESIDUAL_TOL = 1e-12
 
+# top_pairs widens its block while its Ritz values predict more steps than
+# this.
+WIDEN_STEPS = 30
 
-def power_top_pair(psi, w):
-    """(psi1, V1) of the symmetric matrix psi from its ascending eigenvalues
-    w, with V1 found by power iteration and normalized as top_eigenvector
-    normalizes it; None where psi1 is not simple under DEGEN_TOL, the
-    iteration would take too many steps, or the guard declines its vector:
-    the vector is zero or not finite, or |psi V1 - psi1 V1| exceeds
-    TOP_RESIDUAL_TOL times psi1 - psi2.
 
-    The iteration runs on psi - sigma I with sigma = (psi2 + psi_min) / 2,
-    which maps every eigenvalue but psi1 into [-h, h], h = (psi2 - psi_min)
-    / 2. Each step therefore shrinks the tangent of the angle to V1 by at
-    least r = h / (psi1 - sigma). It starts from the uniform vector, and it
-    stops once the residual |psi x - psi1 x| passes the guard and stops
-    falling, or after the steps that take a tangent of sqrt(N) to rounding
-    level (two more for the residual to settle). It is not tried where
-    those are more than N/8 steps, or 64 at N < 512. One step costs about
-    1/300 of what eigh costs over eigvalsh (0.5 ms against 0.14 s at
-    N = 1200, 17 us against 1.4 ms at N = 150, with one BLAS thread), so
-    the steps cost at most about half of that difference. Where this
-    returns None, the caller has spent the eigvalsh that gave w as well,
-    and the eigh it falls back to computes w again.
+def _start_columns(n, lo, hi):
+    """Columns lo to hi - 1 of top_pairs' start block: the uniform vector
+    first, then the splitmix64 hash of each entry's index (column-major),
+    mapped to [-1, 1). A column does not depend on the block's width."""
+    z = np.arange(lo * n, hi * n, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    q = (z >> np.uint64(11)).astype(float).reshape(hi - lo, n).T * 2.0**-52 - 1.0
+    if lo == 0:
+        q[:, 0] = 1.0
+    return q
+
+
+def _gaps(top):
+    """Distance from each of the first len(top) - 1 of the descending
+    values `top` to its nearest neighbour in `top`."""
+    d = top[:-1] - top[1:]
+    return np.minimum(d, np.concatenate([[np.inf], d[:-1]]))
+
+
+def top_pairs(psi, k, w=None):
+    """The top k eigenvalues of the symmetric matrix psi, descending, and
+    their orthonormal eigenvectors as the columns of an N x k array, by
+    block subspace iteration with Rayleigh-Ritz (Rutishauser 1970; Saad
+    2011, ch. 5); w, where given, holds all of psi's eigenvalues,
+    ascending. Returns None, and the caller then reads a full
+    eigendecomposition, where
+    - the block, max(8, 4k) columns, is wider than N / 4;
+    - two of the top k + 1 eigenvalues tie under DEGEN_TOL;
+    - the iteration takes more than max(N, 32 b) columns of products in
+      all (b the start width), about the work of one eigvalsh;
+    - a pair fails its guard: each residual |psi v - theta v| must be at
+      most TOP_RESIDUAL_TOL times the gap from theta to the rest of the
+      spectrum (Davis-Kahan).
+
+    The gap below the k-th pair must be proven, since Ritz values lie below
+    the eigenvalues they approximate. Where w is given it is read from w,
+    and each Ritz value must match w's to DEGEN_TOL. Otherwise one
+    Cholesky certifies it: certify_positive of u I - psi + c X X^T, with X
+    the k Ritz vectors, c = 2 (theta_1 - u) and u just above the (k+1)-th
+    Ritz value, proves psi_{k+1} < u by interlacing, however X was found.
+    That catches an eigenvalue the start block never saw.
+
+    The block starts deterministically (_start_columns), so the result is
+    reproducible. Each step costs one N x N x b product, psi Q, which also
+    yields the next block. The iteration stops once every guard passes
+    and the residuals no longer halve, or once they reach rounding level
+    and no longer halve. After three steps at one width, where the Ritz
+    values predict (from the rate |theta_b| / theta_j) more than
+    WIDEN_STEPS steps, the block doubles, up to N / 4 columns.
     """
-    n = len(w)
-    if n < 2 or top_multiplicity(w) > 1:
+    n = len(psi)
+    b = max(8, 4 * k)
+    if 4 * b > n:
         return None
-    psi1, psi2, psi_min = w[-1], w[-2], w[0]
-    sigma = (psi2 + psi_min) / 2
-    r = (psi2 - psi_min) / (2 * psi1 - psi2 - psi_min)
-    steps = 1
-    if r > 0:
-        steps = math.ceil(math.log(np.finfo(float).eps / math.sqrt(n)) / math.log(r))
-    if steps > max(n // 8, 64):
-        return None
-    settled = TOP_RESIDUAL_TOL * (psi1 - psi2)
-    x = np.full(n, 1 / math.sqrt(n))
-    best, vec = np.inf, x
-    for _ in range(steps + 2):
-        y = psi @ x
-        res = np.linalg.norm(y - psi1 * x)
-        if res < best:
-            best, vec = res, x
-        elif best <= settled:
-            break
-        y -= sigma * x
-        size = np.linalg.norm(y)
-        if not size > 0:
+    scale = 1.0
+    if w is not None:
+        ref = w[:-k - 2:-1]
+        scale = max(ref[0], 1.0)
+        if np.any(ref[:-1] - ref[1:] <= DEGEN_TOL * scale):
             return None
-        x = y / size
-    if not 0 < np.linalg.norm(vec) < np.inf:
+    budget = max(n, 32 * b)
+    q = np.linalg.qr(_start_columns(n, 0, b))[0]
+    used, at_width, last = 0, 0, np.inf
+    while True:
+        z = psi @ q
+        used += b
+        at_width += 1
+        h = q.T @ z
+        theta, s = np.linalg.eigh((h + h.T) / 2)
+        theta, s = theta[::-1], s[:, ::-1]
+        x, ax = q @ s, z @ s
+        res = np.linalg.norm(ax - x * theta, axis=0)
+        if w is None:
+            scale = max(abs(theta[0]), 1.0)
+            ref = theta[:k + 1].copy()
+            ref[k] += res[k]
+        gap = _gaps(ref)
+        worst = np.max(res[:k])
+        passed = np.all(res[:k] <= TOP_RESIDUAL_TOL * gap)
+        if worst >= last / 2 and (passed or worst <= 64 * math.sqrt(n) * EPS * scale):
+            break
+        last = worst
+        if used >= budget:
+            return None
+        nxt = ax
+        if at_width >= 3 and 8 * b <= n:
+            # a residual shrinks by about |theta_b| / |theta_j| a step
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rate = np.min(np.abs(theta)) / np.abs(theta[:k])
+                steps = np.log(TOP_RESIDUAL_TOL * gap / res[:k]) / np.log(rate)
+            if np.any((rate >= 1) | (steps > WIDEN_STEPS)):
+                nxt = np.hstack([ax, _start_columns(n, b, 2 * b)])
+                b, at_width = 2 * b, 0
+        q = np.linalg.qr(nxt)[0]
+    if not passed or np.any(theta[:k] - theta[1:k + 1] <= DEGEN_TOL * scale):
         return None
-    v1 = unit_nonnegative_sum(vec)
-    if not np.linalg.norm(psi @ v1 - psi1 * v1) <= settled:
+    if w is not None:
+        if np.any(np.abs(theta[:k] - ref[:k]) > DEGEN_TOL * scale):
+            return None
+        return theta[:k], x[:, :k]
+    # the certificate: u I - psi + c X X^T is positive definite only where
+    # psi_{k+1} < u; u clears the (k+1)-th Ritz value by its residual and by
+    # twice the margin certify_positive takes off the diagonal
+    xk = x[:, :k]
+    u = theta[k] + res[k]
+    c = 2 * (theta[0] - u)
+    m = (c * xk) @ xk.T
+    m -= psi
+    u += 4 * n * (n + 1) * EPS * max(np.max(np.diagonal(m)) + u, 0.0)
+    m.flat[::n + 1] += u
+    if not certify_positive(m):
         return None
-    return psi1, v1
+    ref[k] = u
+    if not np.all(res[:k] <= TOP_RESIDUAL_TOL * _gaps(ref)):
+        return None
+    return theta[:k], xk

@@ -71,12 +71,14 @@ class AlphaPanel:
 class CorrelationMatrix:
     """Symmetric unit-diagonal correlation matrix.
 
-    Every consumer of eigenvectors reads the eigendecomposition through
-    `spectrum`, which is computed on first use and cached, so one matrix
-    costs at most one O(N^3) solve with eigenvectors. `top_pair()` needs
-    only `eigenvalues`: without a cached spectrum it takes them from one
-    eigvalsh and finds V1 by power iteration, and reads the spectrum only
-    where that declines. Nothing is computed at construction.
+    The full eigendecomposition, `spectrum`, is computed on first use and
+    cached, so one matrix costs at most one eigh. A consumer that needs
+    only the top of the spectrum takes `top_pair()` or `top_pairs(k)`:
+    they read a cached spectrum where there is one, else call
+    eigen.top_pairs (with the eigenvalues where `eigenvalues` has cached
+    them), and read the spectrum only where it declines. `psd` reads
+    cached eigenvalues, else tries one Cholesky first. Nothing is computed
+    at construction, and nothing here computes eigvalsh but `eigenvalues`.
     """
 
     def __init__(self, psi, *, labels=None, spectrum=None):
@@ -128,18 +130,49 @@ class CorrelationMatrix:
 
     @property
     def psd(self):
-        return eigen.is_positive_definite(self.spectrum[0])
+        """The PSD rule of eigen.is_positive_definite on the cached
+        eigenvalues. Without them, True where eigen.certify_positive proves
+        psi - s I positive definite, with s = (PSD_TOL + N (N + 1) eps) N:
+        N >= psi1 (Gershgorin, as |psi_ij| <= 1), so s bounds the noise
+        floor plus the rounding of an eigh. Else, where the Cholesky cannot
+        decide, the rule on the spectrum."""
+        w = self._eigenvalues if self._spectrum is None else self._spectrum[0]
+        if w is None:
+            n = self.n
+            m = self.psi.copy()
+            m.flat[::n + 1] -= (eigen.PSD_TOL + n * (n + 1) * eigen.EPS) * n
+            if eigen.certify_positive(m):
+                return True
+            del m
+            w = self.spectrum[0]
+        return eigen.is_positive_definite(w)
 
     def top_pair(self):
-        """(psi1, V1), cached: from eigen.power_top_pair where no spectrum is
+        """(psi1, V1), cached: from eigen.top_pairs where no spectrum is
         cached, else (or where it declines) from the spectrum under the tie
         rule of eigen.top_eigenvector; V1 has a nonnegative sum."""
         if self._top is None:
+            pair = None
             if self._spectrum is None:
-                self._top = eigen.power_top_pair(self.psi, self.eigenvalues)
-            if self._top is None:
+                pair = eigen.top_pairs(self.psi, 1, self._eigenvalues)
+            if pair is None:
                 self._top = eigen.top_eigenvector(*self.spectrum)
+            else:
+                self._top = pair[0][0], eigen.unit_nonnegative_sum(pair[1][:, 0])
         return self._top
+
+    def top_pairs(self, k):
+        """The top k eigenvalues, descending, and their eigenvectors as the
+        columns of an N x k array: from eigen.top_pairs where no spectrum is
+        cached, else (or where it declines) from the spectrum."""
+        pairs = None
+        if self._spectrum is None:
+            pairs = eigen.top_pairs(self.psi, k, self._eigenvalues)
+        if pairs is None:
+            w, v = self.spectrum
+            order = np.argsort(w)[::-1][:k]
+            pairs = w[order], v[:, order]
+        return pairs
 
 
 def unit_diagonal(cov):
@@ -416,14 +449,18 @@ def canonicalize_signs(corr):
 def deform_correlation(corr):
     """Make a correlation matrix positive definite by replacing every
     eigenvalue at or below eigen.noise_floor with the smallest eigenvalue
-    above it, then rescaling to unit diagonal."""
+    above it, c, then rescaling to unit diagonal. The matrix is rebuilt
+    from the kept pairs alone, as c I + V_+ diag(w_+ - c) V_+^T."""
     w, v = corr.spectrum
     keep = w > eigen.noise_floor(w)
     if not keep.any():
         raise ValidationError("all eigenvalues lie below the noise floor")
-    w_new = np.where(keep, w, w[keep].min())
+    c = w[keep].min()
+    kept = v[:, keep]
+    psi_new = (kept * (w[keep] - c)) @ kept.T
+    psi_new.flat[::corr.n + 1] += c
     # the clip keeps the unit diagonal
-    psi_new = np.clip(unit_diagonal((v * w_new) @ v.T), -1.0, 1.0)
+    psi_new = np.clip(unit_diagonal(psi_new), -1.0, 1.0)
     return CorrelationMatrix(psi_new, labels=list(corr.labels))
 
 

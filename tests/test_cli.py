@@ -100,6 +100,29 @@ class TestAnalyze:
         assert code == 2 and "--factors" in err and "--corr" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, config", [
+        (["--min-overlap", "100000"], None), (["--na-policy", "empty_cell"], None),
+        (["--min-overlap", "100000", "--na-policy", "empty_cell"], None),
+        ([], {"min-overlap": 100000}), ([], {"na_policy": "empty_cell"})])
+    def test_panel_flags_with_corr_exit_2(self, tmp_path, capsys, flags, config):
+        # --min-overlap and --na-policy apply to a panel's correlation; a
+        # correlation input cannot honour them, given on the command line
+        # or by --config
+        path = tmp_path / "corr.csv"
+        write_corr(path, np.eye(3))
+        out = tmp_path / "out.json"
+        argv = ["analyze", str(path), "--corr", *flags, "--out", str(out)]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv = ["--config", str(tmp_path / "cfg.json"), *argv]
+        code = run(argv)
+        err = capsys.readouterr().err
+        flag = "--" + next(iter(config)).replace("_", "-") if config else flags[0]
+        assert code == 2 and flag in err and "--corr" in err
+        assert not out.exists()
+        # without them the same input runs
+        assert run(["analyze", str(path), "--corr", "--out", str(out)]) == 0
+
     @pytest.mark.parametrize("min_overlap", ["0", "1"])
     def test_pair_with_no_joint_observation_exit_2(self, tmp_path, capsys, min_overlap):
         path = tmp_path / "panel.csv"
@@ -1162,7 +1185,9 @@ class TestMalformedFiles:
         with warnings.catch_warnings():
             # a warning would reach stderr outside pytest
             warnings.simplefilter("error")
-            assert run(["analyze", str(path), "--min-overlap", "1", *flags]) == 2
+            # --min-overlap applies to a panel; with --corr it exits 2 itself
+            overlap = [] if "--corr" in flags else ["--min-overlap", "1"]
+            assert run(["analyze", str(path), *overlap, *flags]) == 2
         assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
 
 

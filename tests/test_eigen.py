@@ -1,6 +1,7 @@
 """The shared spectral core: one cached eigendecomposition per correlation
-matrix, the top pair from the eigenvalues alone or read from it, and the
-rank-1-downdate sweep, each checked against the dense path it replaces."""
+matrix, the top pairs from the guarded block iteration or read from it,
+the Cholesky PSD test, and the rank-1-downdate sweep, each checked against
+the dense path it replaces."""
 
 import json
 import warnings
@@ -105,13 +106,13 @@ class TestTopPair:
 
     def test_start_vector_in_null_space_falls_back(self):
         # eigenvalues 2.5, 0.75, 0.5, 0.25 on the Hadamard basis, with the
-        # uniform vector on 0.5 = (psi2 + psi_min) / 2: the first step of
-        # the power iteration is exactly zero
+        # uniform vector on 0.5: a block of 8 is wider than N / 4, so the
+        # top pair comes from eigh, with no warning
         h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]).T / 2.0
         psi = (h * [0.5, 2.5, 0.75, 0.25]) @ h.T
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert eigen.power_top_pair(psi, np.array([0.25, 0.5, 0.75, 2.5])) is None
+            assert eigen.top_pairs(psi, 1, np.array([0.25, 0.5, 0.75, 2.5])) is None
             psi1, v1 = fresh(psi).top_pair()
         want1, want_v = dense_top(psi)
         assert psi1 == pytest.approx(want1, rel=1e-12)
@@ -124,6 +125,98 @@ class TestTopPair:
         want1, want_v = eigen.top_eigenvector(w, v)
         assert psi1 == want1
         np.testing.assert_array_equal(v1, want_v)
+
+
+def clustered_corr(n, clusters, m, seed):
+    """Sample correlation of m observations of n alphas in `clusters`
+    clusters with loadings of either sign: about `clusters` large
+    eigenvalues above a bulk."""
+    rng = np.random.default_rng(seed)
+    asg = rng.integers(0, clusters, n)
+    loadings = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    x = rng.standard_normal((m, clusters))[:, asg] * loadings + rng.standard_normal((m, n))
+    psi = np.corrcoef(x.T)
+    psi = (psi + psi.T) / 2.0
+    np.fill_diagonal(psi, 1.0)
+    return psi
+
+
+def hiding_basis(n):
+    """An orthonormal basis of the complement of every start column that
+    top_pairs can use at N = n (a block grows to at most N / 4 columns)."""
+    start = eigen._start_columns(n, 0, n // 4)
+    return np.linalg.qr(start, mode="complete")[0][:, n // 4:]
+
+
+class TestTopPairs:
+    @pytest.mark.parametrize("n, clusters, m, k", [
+        (400, 16, 150, 1), (400, 16, 150, 2), (400, 16, 150, 5), (400, 16, 150, 10),
+        (300, 20, 600, 5), (300, 20, 600, 10), (200, 12, 400, 1)])
+    def test_matches_eigh(self, n, clusters, m, k):
+        # 150 observations of 400 alphas leave a zero bulk; at k = 1 a block
+        # of 8 narrower than the cluster count widens
+        psi = clustered_corr(n, clusters, m, seed=k)
+        w, v = np.linalg.eigh(psi)
+        got = eigen.top_pairs(psi, k)
+        assert got is not None
+        vals, vecs = got
+        np.testing.assert_allclose(vals, w[:-k - 1:-1], rtol=1e-13)
+        want = v[:, :-k - 1:-1]
+        vecs = vecs * np.sign(np.sum(vecs * want, axis=0))
+        np.testing.assert_allclose(vecs, want, rtol=0, atol=1e-11)
+        # the same pairs where all eigenvalues are given
+        vals_w, vecs_w = eigen.top_pairs(psi, k, w)
+        np.testing.assert_allclose(vals_w, vals, rtol=1e-13)
+        np.testing.assert_allclose(np.abs(np.sum(vecs_w * want, axis=0)), 1.0, rtol=0,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("k, hidden", [(1, 27.0), (3, 17.0), (1, 4.75), (3, 4.75)],
+                             ids=["below-top", "below-kth", "in-bulk-1", "in-bulk-3"])
+    def test_certificate_catches_hidden_eigenvalue(self, k, hidden):
+        # visible eigenvalues 29.5, 24.5, 19.5, 14.5 above a bulk at 4.5
+        # and 5, and one more on h, which is orthogonal to every start
+        # column: no block sees it but through rounding, which amplifies
+        # it by hidden / 5 a step. Between the k-th and the (k+1)-th
+        # visible value it stays hidden while the visible pairs converge:
+        # they are the top k, but the gap below them is not the one their
+        # guard used, and only the certificate shows it. Where w is given,
+        # its gap is used and they pass. In the bulk h hides nothing.
+        n = 200
+        h = hiding_basis(n)[:, 7]
+        proj = np.eye(n) - np.outer(h, h)
+        base = block_corr([50, 40, 30, 20] + [1] * 60, [0.5] * 4 + [0.0] * 60) + 4.0 * np.eye(n)
+        psi = proj @ base @ proj + hidden * np.outer(h, h)
+        psi = (psi + psi.T) / 2.0
+        w = np.linalg.eigvalsh(psi)
+        assert (eigen.top_pairs(psi, k) is not None) == (hidden < 5)
+        got = eigen.top_pairs(psi, k, w)
+        np.testing.assert_allclose(got[0], w[:-k - 1:-1], rtol=1e-13)
+
+    def test_start_block_in_eigenspace_declines(self):
+        # psi = I + B with B zero on every start column: the first step
+        # gives Ritz values all 1, which tie, with zero residuals
+        n = 64
+        basis = hiding_basis(n)
+        r = np.random.default_rng(2).standard_normal((basis.shape[1],) * 2)
+        psi = np.eye(n) + basis @ (r + r.T) @ basis.T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert eigen.top_pairs(psi, 1) is None
+
+    @pytest.mark.parametrize("n, k", [(32, 1), (48, 3), (160, 10)])
+    def test_block_wider_than_quarter_declines(self, n, k):
+        # max(8, 4k) columns against N / 4
+        assert eigen.top_pairs(clustered_corr(n - 1, k + 2, 2 * n, seed=1), k) is None
+        assert eigen.top_pairs(clustered_corr(n, k + 2, 2 * n, seed=1), k) is not None
+
+    def test_tied_top_declines(self):
+        psi = block_corr([40] * 4, [0.4] * 4)
+        assert eigen.top_pairs(psi, 1) is None
+        assert eigen.top_pairs(psi, 1, np.linalg.eigvalsh(psi)) is None
+        # below a simple top the tie lies past k + 1 = 2 for k = 1 only
+        psi = block_corr([60, 40, 40], [0.5, 0.4, 0.4])
+        assert eigen.top_pairs(psi, 1) is not None
+        assert eigen.top_pairs(psi, 2) is None
 
 
 class TestSpectrumCache:
@@ -141,6 +234,18 @@ class TestSpectrumCache:
     def test_psd_follows_spectrum(self):
         assert fresh(random_corr(20, seed=5)).psd
         assert not fresh(np.ones((4, 4))).psd
+
+    def test_psd_takes_cholesky_first(self, monkeypatch):
+        # a positive definite matrix needs no eigh; a singular one takes one
+        calls = []
+        real = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a, *args: calls.append(a.shape) or real(a, *args))
+        assert fresh(random_corr(100, seed=5)).psd
+        assert calls == []
+        singular = fresh(clustered_corr(100, 4, 50, seed=2))
+        assert not singular.psd
+        assert calls == [(100, 100)] and singular._spectrum is not None
 
     @pytest.mark.parametrize("seed", range(4))
     def test_canonicalize_carries_spectrum(self, seed):
@@ -225,8 +330,8 @@ class TestDecompositionBudget:
         out = tmp_path / "out.json"
         argv = ["analyze", str(path), "--corr", "--deform", "--out", str(out)]
         # the input's spectrum feeds the deformation; the deformed matrix's
-        # top pair needs only its eigenvalues
-        assert self.square(monkeypatch, n, argv) == ["eigh", "eigvalsh"]
+        # top pair comes from the block iteration and its certificate
+        assert self.square(monkeypatch, n, argv) == ["eigh"]
         assert json.loads(out.read_text())["deformed"] is True
 
     def test_analyze_corr_positive_definite(self, tmp_path, monkeypatch):
@@ -235,7 +340,7 @@ class TestDecompositionBudget:
         cluster_corr_csv(path, n, m=400)
         out = tmp_path / "out.json"
         argv = ["analyze", str(path), "--corr", "--out", str(out)]
-        assert self.square(monkeypatch, n, argv) == ["eigvalsh"]
+        assert self.square(monkeypatch, n, argv) == []
         doc = json.loads(out.read_text())
         want1, want_v = dense_top(pm.load_correlation(path).psi)
         assert doc["psi1"] == pytest.approx(want1, rel=1e-12)
@@ -247,8 +352,9 @@ class TestDecompositionBudget:
         pm.save_correlation(fresh(block_corr([n // 4] * 4, [0.4] * 4)), path)
         out = tmp_path / "out.json"
         argv = ["analyze", str(path), "--corr", "--out", str(out)]
-        # the eigenvalues show the tie, so the tie rule reads the spectrum
-        assert self.square(monkeypatch, n, argv) == ["eigvalsh", "eigh"]
+        # the Ritz values show the tie, so the tie rule reads the spectrum,
+        # with no eigvalsh before it
+        assert self.square(monkeypatch, n, argv) == ["eigh"]
         # the uniform vector spans the projection: rho* = psi1 / N
         assert json.loads(out.read_text())["rho_star"] == pytest.approx((1 + 19 * 0.4) / n,
                                                                         rel=1e-12)
@@ -259,7 +365,9 @@ class TestDecompositionBudget:
         cluster_corr_csv(path, n)
         argv = ["clusters", str(path), "--kmax", "5", "--deform",
                 "--out", str(tmp_path / "sweep.csv")]
-        assert len(self.square(monkeypatch, n, argv)) == 2
+        # the input's eigh feeds the deformation; the deformed matrix's PSD
+        # verdict comes from a Cholesky, its top pairs from the block
+        assert self.square(monkeypatch, n, argv) == ["eigh"]
 
     def test_model_dense_fallback(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(8)
@@ -270,7 +378,8 @@ class TestDecompositionBudget:
         path.write_text(json.dumps(doc))
         out = tmp_path / "eig.json"
         argv = ["model", str(path), "--op", "eigen", "--out", str(out)]
-        # eigenvalues only: the top eigenvector comes by power iteration
+        # eigenvalues only: the top eigenvector comes from the block
+        # iteration, whose gap the eigenvalues prove
         assert self.square(monkeypatch, n, argv) == ["eigvalsh"]
         assert json.loads(out.read_text())["method"] == "dense"
 
@@ -292,14 +401,16 @@ class TestDecompositionBudget:
     @pytest.mark.parametrize("kind", ["tied-top", "tied-top-distinct", "cancelling",
                                       "near-tied"])
     def test_model_dense_top_pair(self, tmp_path, monkeypatch, kind):
-        # the top pair comes from the same eigenvalues by power iteration
-        # or, at a tied or near-tied top, from eigh; dense loadings are not
-        # deflated, though tied-top's alphas repeat
+        # the top pair comes from the block iteration on the same
+        # eigenvalues where N >= 32 (near-tied: two clusters, so a block of
+        # 8 separates psi1 from psi2 0.13% below it), and from eigh at a
+        # tied top or at N < 32 (the other models have 6 or 12 alphas);
+        # dense loadings are not deflated, though tied-top's alphas repeat
         model = {"tied-top": tied_top_model, "tied-top-distinct": tied_top_distinct_model,
                  "cancelling": cancelling_model, "near-tied": near_tied_model}[kind]()
         corr = fm.build_covariance(model)
         calls, doc = self.model_eigen(tmp_path, monkeypatch, model)
-        assert calls == (["eigvalsh"] if kind == "cancelling" else ["eigvalsh", "eigh"])
+        assert calls == (["eigvalsh"] if kind == "near-tied" else ["eigvalsh", "eigh"])
         assert doc["method"] == "dense"
         assert doc["rho_star"] == pytest.approx(sp.spectral_summary(corr).rho_star, rel=1e-12)
 
@@ -331,8 +442,8 @@ class TestDecompositionBudget:
         # G x G block too where its top is tied (two equal clusters above
         # two single alphas on correlated factors), where every eigenvalue
         # ties (xi = 1e6 swamps the factors, so no eigenvalue lies below the
-        # top eigenspace), where its top is not dominant (power iteration
-        # would take more than N / 8 steps) or where two clusters of 50 on
+        # top eigenspace), where its top is not dominant (the block iteration
+        # runs out of steps at N = 200) or where two clusters of 50 on
         # factors of variance 1 and 1 + eps put the top two eigenvalues
         # about 8 eps apart (within DEGEN_TOL at eps = 1e-11): no N x N eigh
         if kind == "tied":
@@ -365,7 +476,7 @@ class TestDecompositionBudget:
         elif kind == "near-tied":
             assert k == (2 if eps < 1e-10 else 1)
         else:
-            assert eigen.power_top_pair(corr.psi, w) is None
+            assert eigen.top_pairs(corr.psi, 1, w) is None
         calls, doc = self.model_eigen(tmp_path, monkeypatch, model)
         assert calls == []
         assert doc["method"] == "dense"
@@ -382,14 +493,14 @@ class TestDecompositionBudget:
         # off from the assembled matrix by about 1e-8, and a deflation of
         # the factored form was off by 5.7e-10 psi1; dense loadings are not
         # deflated, so the eigenvalues come from the N x N eigvalsh and
-        # match eigh
+        # match eigh, which gives the top pair at N = 24 < 32
         base = cancelling_model()
         model = fm.FactorModel(omega=np.repeat(base.omega, 2, axis=0), phi_cov=base.phi_cov,
                                xi=np.repeat(base.xi, 2))
         corr = fm.build_covariance(model)
         w = np.linalg.eigvalsh(corr.psi)
         calls, doc = self.model_eigen(tmp_path, monkeypatch, model)
-        assert calls == ["eigvalsh"]
+        assert calls == ["eigvalsh", "eigh"]
         assert doc["method"] == "dense"
         np.testing.assert_allclose([v["value"] for v in doc["values"]], w[::-1], rtol=0,
                                    atol=1e-12 * w[-1])

@@ -2,8 +2,10 @@
 and load bit for bit, format_csv writes what a per-cell "%.17g" loop
 writes, secular_roots sum to N, interlace their poles and match a 60-digit
 root, sign canonicalization keeps psi1 and rho_star, with or without a
-cached spectrum, the top pair from the eigenvalues alone is eigh's, the
-packed residual sweep is the N x N one bit for bit, the dense model path
+cached spectrum, the top pair and the top k pairs without a spectrum are
+eigh's, the Cholesky PSD verdict is the spectrum rule's near the noise
+floor, the packed residual sweep is the N x N one bit for bit, the dense
+model path
 gives what eigh of the assembled matrix gives, with a binary model's
 repeated alphas deflated too, a deflated block gathered from Phi gives
 what one read from the assembled matrix gives, the reduced model solvers
@@ -415,8 +417,8 @@ def top_pair_correlations(draw):
 
 @given(psi=top_pair_correlations())
 def test_top_pair_without_spectrum_matches_eigh(psi):
-    """From the eigenvalues alone (power iteration, or the spectrum where
-    that declines), top_pair gives eigh's top pair under the tie rule."""
+    """Without a spectrum (the block iteration, or the spectrum where it
+    declines), top_pair gives eigh's top pair under the tie rule."""
     psi1, v1 = pm.CorrelationMatrix(psi=psi).top_pair()
     want1, want_v = eigen.top_eigenvector(*np.linalg.eigh(psi))
     assert psi1 == pytest.approx(want1, rel=1e-12)
@@ -424,6 +426,91 @@ def test_top_pair_without_spectrum_matches_eigh(psi):
         # V1 orthogonal to the uniform vector: rounding picks its sign
         v1 = v1 * np.sign(v1 @ want_v)
     np.testing.assert_allclose(v1, want_v, rtol=0, atol=1e-10)
+
+
+@st.composite
+def spectrum_tops(draw):
+    """Correlation matrices of 160 to 240 alphas, wide enough for a block
+    at k = 10, whose tops are clustered (the sample correlation of a
+    cluster panel, rank-deficient where it has fewer observations than
+    alphas), flat (pure noise), tied (equal blocks) or near-tied (one
+    block's correlation raised by a relative 1e-12 to 1e-3), each with
+    random signs."""
+    kind = draw(st.sampled_from(["clustered", "flat", "tied", "near_tied"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(160, 240))
+    if kind in ("clustered", "flat"):
+        f = draw(st.integers(2, 12)) if kind == "clustered" else 1
+        m = draw(st.integers(n // 2, 3 * n))
+        asg = rng.integers(0, f, n)
+        loadings = rng.uniform(0.5, 2.0, n) if kind == "clustered" else np.zeros(n)
+        x = rng.standard_normal((m, f))[:, asg] * loadings + rng.standard_normal((m, n))
+        psi = np.corrcoef(x.T)
+    else:
+        size = draw(st.integers(10, 40))
+        f = n // size
+        rho = np.full(f, draw(st.floats(0.1, 0.9)))
+        if kind == "near_tied":
+            rho[0] *= 1.0 + draw(st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3]))
+        psi = np.eye(n)
+        psi[:f * size, :f * size] = np.kron(np.diag(rho), np.ones((size, size)))
+    signs = rng.choice([-1.0, 1.0], n)
+    psi *= np.outer(signs, signs)
+    psi = (psi + psi.T) / 2.0
+    np.fill_diagonal(psi, 1.0)
+    return psi
+
+
+@given(psi=spectrum_tops(), k=st.integers(1, 10))
+def test_top_pairs_match_eigh(psi, k):
+    """The top k pairs, from top_pairs or, where it declines, from the
+    caller's eigh, are eigh's: each value to 1e-13 relative, each vector
+    to its Davis-Kahan angle plus eigh's own error, and where a value
+    ties (so that no vector is unique) the pairs solve psi."""
+    vals, vecs = pm.CorrelationMatrix(psi=psi).top_pairs(k)
+    w, v = np.linalg.eigh(psi)
+    scale = max(w[-1], 1.0)
+    np.testing.assert_allclose(vals, w[:-k - 1:-1], rtol=0, atol=1e-13 * scale)
+    np.testing.assert_allclose(vecs.T @ vecs, np.eye(k), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(psi @ vecs, vecs * vals, rtol=0, atol=1e-11 * scale)
+    for j in range(k):
+        others = np.delete(w, len(w) - 1 - j)
+        gap = np.min(np.abs(others - w[-1 - j]))
+        if gap > 1e-8 * scale:
+            want = v[:, -1 - j]
+            got = vecs[:, j] * np.sign(vecs[:, j] @ want)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-11 + 1e-13 * scale / gap)
+
+
+@st.composite
+def near_floor_correlations(draw):
+    """Correlation matrices whose smallest eigenvalue lies within a
+    relative 1e-3, or an absolute 1e-3, of the noise floor: m I + (1 - m) C
+    for the rank-deficient sample correlation C of fewer observations than
+    alphas, whose smallest eigenvalue is 0 to rounding; and C itself."""
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((draw(st.integers(2, n)), 1)) * rng.uniform(0.0, 1.0, n)
+    c = np.corrcoef((x + rng.standard_normal(x.shape)).T)
+    psi1 = np.linalg.eigvalsh(c)[-1]
+    kind = draw(st.sampled_from(["relative", "absolute", "singular"]))
+    offset = draw(st.floats(-1e-3, 1e-3))
+    floor = eigen.PSD_TOL * max(psi1, 1.0)
+    shift = {"relative": floor * (1.0 + offset), "absolute": floor + offset,
+             "singular": 0.0}[kind]
+    psi = shift * np.eye(n) + (1.0 - shift) * c
+    psi = (psi + psi.T) / 2.0
+    np.fill_diagonal(psi, 1.0)
+    assume(np.max(np.abs(psi)) <= 1.0)
+    return psi
+
+
+@given(psi=near_floor_correlations())
+def test_psd_cholesky_verdict_is_the_spectrum_rule(psi):
+    """Without a cached spectrum, psd (a Cholesky, and eigh only where it
+    cannot decide) gives what the PSD rule gives on eigh's eigenvalues."""
+    assert pm.CorrelationMatrix(psi=psi).psd == eigen.is_positive_definite(
+        np.linalg.eigh(psi)[0])
 
 
 @given(psi=factor_correlations(), data=st.data())
