@@ -119,12 +119,17 @@ def top_pairs(psi, k, w=None):
     their orthonormal eigenvectors as the columns of an N x k array, by
     block subspace iteration with Rayleigh-Ritz (Rutishauser 1970; Saad
     2011, ch. 5); w, where given, holds all of psi's eigenvalues,
-    ascending. Returns None, and the caller then reads a full
+    ascending, and k < N. Returns None, and the caller then reads a full
     eigendecomposition, where
-    - the block, max(8, 4k) columns, is wider than N / 4;
+    - w is not given and the block, max(8, 4k) columns, is wider than
+      N / 4 (where w is given, the block is cut to N columns, and a block
+      of N columns is exact after one step);
     - two of the top k + 1 eigenvalues tie under DEGEN_TOL;
-    - the iteration takes more than max(N, 32 b) columns of products in
-      all (b the start width), about the work of one eigvalsh;
+    - the iteration would take more than max(N, 32 b) columns of products
+      in all (b the start width; N columns cost about one eigh at
+      N = 1200): it declines as soon as its Ritz values predict that
+      many, or on reaching them, so a top that is tied or not separated
+      costs a few steps;
     - a pair fails its guard: each residual |psi v - theta v| must be at
       most TOP_RESIDUAL_TOL times the gap from theta to the rest of the
       spectrum (Davis-Kahan).
@@ -139,16 +144,25 @@ def top_pairs(psi, k, w=None):
 
     The block starts deterministically (_start_columns), so the result is
     reproducible. Each step costs one N x N x b product, psi Q, which also
-    yields the next block. The iteration stops once every guard passes
-    and the residuals no longer halve, or once they reach rounding level
-    and no longer halve. After three steps at one width, where the Ritz
-    values predict (from the rate |theta_b| / theta_j) more than
-    WIDEN_STEPS steps, the block doubles, up to N / 4 columns.
+    yields the next block, (psi - sigma I) X, with sigma the smallest
+    eigenvalue psi_N where w is given and 0 otherwise. A residual then
+    shrinks by about (psi_{b+1} - sigma) / (theta_j - sigma) a step, with
+    |theta_b| standing in for psi_{b+1} where w is not given. The
+    iteration stops once every guard passes and the residuals no longer
+    halve, or once they reach rounding level and no longer halve. From
+    the third step at one width on, that rate predicts the steps left, and
+    b times as many columns. Where it predicts more than WIDEN_STEPS steps,
+    or columns that overrun the budget, the block doubles, up to N / 4
+    columns, while three steps at the doubled width fit in the budget and
+    the last doubling cut the predicted columns (a flat spectrum gains
+    little from a wider block). Else, where the predicted columns overrun
+    the budget, it declines.
     """
     n = len(psi)
     b = max(8, 4 * k)
-    if 4 * b > n:
+    if w is None and 4 * b > n:
         return None
+    b = min(b, n)
     scale = 1.0
     if w is not None:
         ref = w[:-k - 2:-1]
@@ -156,8 +170,9 @@ def top_pairs(psi, k, w=None):
         if np.any(ref[:-1] - ref[1:] <= DEGEN_TOL * scale):
             return None
     budget = max(n, 32 * b)
+    sigma = 0.0 if w is None else w[0]
     q = np.linalg.qr(_start_columns(n, 0, b))[0]
-    used, at_width, last = 0, 0, np.inf
+    used, at_width, last, widened_at = 0, 0, np.inf, None
     while True:
         z = psi @ q
         used += b
@@ -174,20 +189,30 @@ def top_pairs(psi, k, w=None):
         gap = _gaps(ref)
         worst = np.max(res[:k])
         passed = np.all(res[:k] <= TOP_RESIDUAL_TOL * gap)
-        if worst >= last / 2 and (passed or worst <= 64 * math.sqrt(n) * EPS * scale):
+        if b == n or (worst >= last / 2
+                      and (passed or worst <= 64 * math.sqrt(n) * EPS * scale)):
             break
         last = worst
         if used >= budget:
             return None
-        nxt = ax
-        if at_width >= 3 and 8 * b <= n:
-            # a residual shrinks by about |theta_b| / |theta_j| a step
+        nxt = ax - sigma * x
+        if at_width >= 3:
+            far = np.min(np.abs(theta)) if w is None else w[-b - 1] - sigma
+            # without w, the gaps between Ritz values stand in for the gaps,
+            # which an unconverged residual can make negative
+            near = gap if w is not None else _gaps(theta[:k + 1])
             with np.errstate(divide="ignore", invalid="ignore"):
-                rate = np.min(np.abs(theta)) / np.abs(theta[:k])
-                steps = np.log(TOP_RESIDUAL_TOL * gap / res[:k]) / np.log(rate)
-            if np.any((rate >= 1) | (steps > WIDEN_STEPS)):
-                nxt = np.hstack([ax, _start_columns(n, b, 2 * b)])
-                b, at_width = 2 * b, 0
+                rate = far / np.abs(theta[:k] - sigma)
+                steps = np.log(TOP_RESIDUAL_TOL * near / res[:k]) / np.log(rate)
+                steps = np.max(np.where(rate < 1, steps, np.inf))
+            cols = b * steps
+            over = used + cols > budget
+            if ((over or steps > WIDEN_STEPS) and 8 * b <= n and used + 6 * b <= budget
+                    and (widened_at is None or cols < widened_at)):
+                nxt = np.hstack([nxt, _start_columns(n, b, 2 * b)])
+                b, at_width, widened_at = 2 * b, 0, cols
+            elif over:
+                return None
         q = np.linalg.qr(nxt)[0]
     if not passed or np.any(theta[:k] - theta[1:k + 1] <= DEGEN_TOL * scale):
         return None

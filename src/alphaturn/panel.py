@@ -106,6 +106,7 @@ class CorrelationMatrix:
         self._spectrum = spectrum
         self._eigenvalues = None
         self._top = None
+        self._certified = False
 
     @property
     def n(self):
@@ -135,13 +136,16 @@ class CorrelationMatrix:
         psi - s I positive definite, with s = (PSD_TOL + N (N + 1) eps) N:
         N >= psi1 (Gershgorin, as |psi_ij| <= 1), so s bounds the noise
         floor plus the rounding of an eigh. Else, where the Cholesky cannot
-        decide, the rule on the spectrum."""
+        decide, the rule on the spectrum. A success is cached."""
+        if self._certified:
+            return True
         w = self._eigenvalues if self._spectrum is None else self._spectrum[0]
         if w is None:
             n = self.n
             m = self.psi.copy()
             m.flat[::n + 1] -= (eigen.PSD_TOL + n * (n + 1) * eigen.EPS) * n
-            if eigen.certify_positive(m):
+            self._certified = eigen.certify_positive(m)
+            if self._certified:
                 return True
             del m
             w = self.spectrum[0]

@@ -106,17 +106,21 @@ class TestTopPair:
 
     def test_start_vector_in_null_space_falls_back(self):
         # eigenvalues 2.5, 0.75, 0.5, 0.25 on the Hadamard basis, with the
-        # uniform vector on 0.5: a block of 8 is wider than N / 4, so the
-        # top pair comes from eigh, with no warning
+        # uniform vector on 0.5: without the eigenvalues a block of 8 is
+        # wider than N / 4, so the top pair comes from eigh; with them the
+        # block is cut to all 4 columns, exact after one step. No warning
         h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]).T / 2.0
         psi = (h * [0.5, 2.5, 0.75, 0.25]) @ h.T
+        want1, want_v = dense_top(psi)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert eigen.top_pairs(psi, 1, np.array([0.25, 0.5, 0.75, 2.5])) is None
+            assert eigen.top_pairs(psi, 1) is None
             psi1, v1 = fresh(psi).top_pair()
-        want1, want_v = dense_top(psi)
+            vals, vecs = eigen.top_pairs(psi, 1, np.array([0.25, 0.5, 0.75, 2.5]))
         assert psi1 == pytest.approx(want1, rel=1e-12)
         assert abs(v1 @ want_v) == pytest.approx(1.0, abs=1e-12)
+        assert vals[0] == pytest.approx(want1, rel=1e-12)
+        assert abs(vecs[:, 0] @ want_v) == pytest.approx(1.0, abs=1e-12)
 
     def test_cached_spectrum_is_used(self):
         corr = fresh(random_corr(160, seed=3))
@@ -205,9 +209,32 @@ class TestTopPairs:
 
     @pytest.mark.parametrize("n, k", [(32, 1), (48, 3), (160, 10)])
     def test_block_wider_than_quarter_declines(self, n, k):
-        # max(8, 4k) columns against N / 4
-        assert eigen.top_pairs(clustered_corr(n - 1, k + 2, 2 * n, seed=1), k) is None
+        # max(8, 4k) columns against N / 4, where no eigenvalues are given;
+        # with them the block only has to fit in N
+        narrow = clustered_corr(n - 1, k + 2, 2 * n, seed=1)
+        assert eigen.top_pairs(narrow, k) is None
         assert eigen.top_pairs(clustered_corr(n, k + 2, 2 * n, seed=1), k) is not None
+        w = np.linalg.eigvalsh(narrow)
+        np.testing.assert_allclose(eigen.top_pairs(narrow, k, w)[0], w[:-k - 1:-1], rtol=1e-13)
+
+    @pytest.mark.parametrize("kind", ["flat", "30-clusters"])
+    def test_unseparated_top_declines_early(self, kind, monkeypatch):
+        # a flat spectrum (150 draws of 300 independent alphas) and 30
+        # clusters under a block of 8 or 16: the Ritz values predict more
+        # columns than the budget of N, so the block declines after a few
+        # steps where it used to spend the budget first
+        if kind == "flat":
+            psi = np.corrcoef(np.random.default_rng(4).standard_normal((150, 300)).T)
+            psi = (psi + psi.T) / 2.0
+            np.fill_diagonal(psi, 1.0)
+        else:
+            psi = clustered_corr(400, 30, 150, seed=1)
+        blocks = []
+        real = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr",
+                            lambda a, *args: blocks.append(a.shape[1]) or real(a, *args))
+        assert eigen.top_pairs(psi, 1) is None
+        assert sum(blocks) <= 100
 
     def test_tied_top_declines(self):
         psi = block_corr([40] * 4, [0.4] * 4)
@@ -236,13 +263,17 @@ class TestSpectrumCache:
         assert not fresh(np.ones((4, 4))).psd
 
     def test_psd_takes_cholesky_first(self, monkeypatch):
-        # a positive definite matrix needs no eigh; a singular one takes one
-        calls = []
-        real = np.linalg.eigh
+        # a positive definite matrix needs no eigh, and its verdict is kept;
+        # a singular one takes one
+        calls, factored = [], []
+        real, real_chol = np.linalg.eigh, np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda a, *args: calls.append(a.shape) or real(a, *args))
-        assert fresh(random_corr(100, seed=5)).psd
-        assert calls == []
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda a, *args: factored.append(a.shape) or real_chol(a, *args))
+        corr = fresh(random_corr(100, seed=5))
+        assert corr.psd and corr.psd
+        assert calls == [] and factored == [(100, 100)]
         singular = fresh(clustered_corr(100, 4, 50, seed=2))
         assert not singular.psd
         assert calls == [(100, 100)] and singular._spectrum is not None
@@ -402,15 +433,15 @@ class TestDecompositionBudget:
                                       "near-tied"])
     def test_model_dense_top_pair(self, tmp_path, monkeypatch, kind):
         # the top pair comes from the block iteration on the same
-        # eigenvalues where N >= 32 (near-tied: two clusters, so a block of
-        # 8 separates psi1 from psi2 0.13% below it), and from eigh at a
-        # tied top or at N < 32 (the other models have 6 or 12 alphas);
-        # dense loadings are not deflated, though tied-top's alphas repeat
+        # eigenvalues (near-tied: two clusters, so a block of 8 separates
+        # psi1 from psi2 0.13% below it; cancelling: a block of 8 of its 12
+        # alphas), and from eigh at a tied top; dense loadings are not
+        # deflated, though tied-top's alphas repeat
         model = {"tied-top": tied_top_model, "tied-top-distinct": tied_top_distinct_model,
                  "cancelling": cancelling_model, "near-tied": near_tied_model}[kind]()
         corr = fm.build_covariance(model)
         calls, doc = self.model_eigen(tmp_path, monkeypatch, model)
-        assert calls == (["eigvalsh"] if kind == "near-tied" else ["eigvalsh", "eigh"])
+        assert calls == (["eigvalsh", "eigh"] if kind.startswith("tied") else ["eigvalsh"])
         assert doc["method"] == "dense"
         assert doc["rho_star"] == pytest.approx(sp.spectral_summary(corr).rho_star, rel=1e-12)
 
@@ -493,14 +524,14 @@ class TestDecompositionBudget:
         # off from the assembled matrix by about 1e-8, and a deflation of
         # the factored form was off by 5.7e-10 psi1; dense loadings are not
         # deflated, so the eigenvalues come from the N x N eigvalsh and
-        # match eigh, which gives the top pair at N = 24 < 32
+        # match eigh; the block iteration gives the top pair
         base = cancelling_model()
         model = fm.FactorModel(omega=np.repeat(base.omega, 2, axis=0), phi_cov=base.phi_cov,
                                xi=np.repeat(base.xi, 2))
         corr = fm.build_covariance(model)
         w = np.linalg.eigvalsh(corr.psi)
         calls, doc = self.model_eigen(tmp_path, monkeypatch, model)
-        assert calls == ["eigvalsh", "eigh"]
+        assert calls == ["eigvalsh"]
         assert doc["method"] == "dense"
         np.testing.assert_allclose([v["value"] for v in doc["values"]], w[::-1], rtol=0,
                                    atol=1e-12 * w[-1])
