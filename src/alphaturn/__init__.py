@@ -16,9 +16,8 @@ _EXPORTS = {
                   "load_panel", "pairwise_correlation", "regress_out"],
         "spectral": ["SpectralSummary", "spectral_summary"],
         "factor_model": ["AllocationPlan", "ClusterSpec", "EigenStructure", "FactorModel",
-                         "NonbinaryBound", "binary_eigensystem", "build_covariance",
-                         "dense_rho_star", "nonbinary_bound", "optimal_allocation",
-                         "reduce_nonbinary", "reduce_nondiagonal", "rho_star_binary",
+                         "binary_eigensystem", "build_covariance", "dense_rho_star",
+                         "optimal_allocation", "reduce_nonbinary", "reduce_nondiagonal",
                          "secular_identity_check", "secular_roots"],
         "clusters": ["ClusterCountEstimate", "FTestReport", "SweepCurve", "knee_estimate",
                      "lower_bound_F", "new_cluster_ftest", "residual_correlation_sweep"],

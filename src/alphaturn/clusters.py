@@ -38,10 +38,6 @@ class ClusterCountEstimate:
 
     lower_bound: float
 
-    @property
-    def lower_bound_ceiling(self):
-        return math.ceil(self.lower_bound - 1e-12)
-
 
 @dataclass
 class FTestReport:

@@ -2,12 +2,11 @@
 
 Covers binary clusters with and without specific risk, non-diagonal factor
 covariance via the reduced F x F problem, non-binary loadings via the
-Gram-matrix reduction, the uniform-correlation secular equation, and the
-demeaned-loadings bound on the top eigenvalue. Any other model takes the
-dense path: the eigenvalues and top eigenpair of its assembled
-correlation matrix, from one eigh of a G x G block gathered from Phi
-where a binary model's alphas fall into G < N groups of repeated rows,
-and otherwise from the matrix itself.
+Gram-matrix reduction and the uniform-correlation secular equation. Any
+other model takes the dense path: the eigenvalues and top eigenpair of
+its assembled correlation matrix, from one eigh of a G x G block gathered
+from Phi where a binary model's alphas fall into G < N groups of repeated
+rows, and otherwise from the matrix itself.
 """
 
 from __future__ import annotations
@@ -330,27 +329,17 @@ class AllocationPlan:
         return [self.size_ceiling] * self.f_plus + [self.size_floor] * self.f_minus
 
 
-@dataclass
-class NonbinaryBound:
-    """Estimate of the top eigenvalue and rho_star from column means of
-    normalized loadings."""
-
-    lambda_bar: np.ndarray
-    chi: float
-    q: float
-    psi_star_est: float
-    zeta_star_est: float
-    rho_star_est: float
-
-
 def build_covariance(model):
     """The correlation matrix of Gamma = diag(xi^2) + Omega Phi Omega^T
     (spectrum not yet computed), assembled from the rows (xi_i, Omega_i)
     scaled by _unit_rows, so tiny or huge rows square without under- or
-    overflow."""
+    overflow. xi^2 is added onto the product's diagonal in place, after a
+    0.0 that turns -0.0 to 0.0 as adding a diagonal matrix would."""
     rows = _unit_rows(np.column_stack([model.xi, model.loadings()]))
     with np.errstate(over="ignore", invalid="ignore"):
-        gamma = np.diag(rows[:, 0] ** 2) + rows[:, 1:] @ model.phi_cov @ rows[:, 1:].T
+        gamma = rows[:, 1:] @ model.phi_cov @ rows[:, 1:].T
+        gamma += 0.0
+        gamma.flat[::len(gamma) + 1] += rows[:, 0] ** 2
     _check_total_variance(np.diag(gamma))
     return CorrelationMatrix(psi=unit_diagonal(gamma))
 
@@ -395,12 +384,6 @@ def binary_eigensystem(spec):
     ]
     rho = float(psi_a[top] * math.sqrt(spec.sizes[top]) / spec.n**1.5)
     return EigenStructure(values=values, rho_star=rho, top_cluster=top + 1)
-
-
-def rho_star_binary(spec):
-    """(rho_star, top_cluster) of binary_eigensystem(spec)."""
-    eig = binary_eigensystem(spec)
-    return eig.rho_star, eig.top_cluster
 
 
 def optimal_allocation(n, f):
@@ -512,7 +495,7 @@ def deflated_eigenvalues(model):
     cluster = model.assignment[first] - 1
     unit = _unit_rows(np.column_stack([model.xi[first], np.ones(len(first))]))
     r = unit[:, 1]
-    # scaled and + 0.0 as in build_covariance, whose diag(xi^2) + ... turns -0.0 to 0.0
+    # scaled and + 0.0 as in build_covariance, where it turns -0.0 to 0.0
     phi = r[:, None] * model.phi_cov[np.ix_(cluster, cluster)] * r[None, :] + 0.0
     s = np.sqrt(unit[:, 0] ** 2 + np.diag(phi))
     m = phi / np.outer(s, s)
@@ -685,34 +668,3 @@ def secular_f2_closed_form(n1, n2, rho):
     (N1 + N2 +/- sqrt((N1 - N2)^2 + 4 N1 N2 rho^2)) / 2."""
     disc = math.sqrt((n1 - n2) ** 2 + 4.0 * n1 * n2 * rho**2)
     return (n1 + n2 + disc) / 2.0, (n1 + n2 - disc) / 2.0
-
-
-def nonbinary_bound(lam):
-    """Bound the top eigenvalue and rho_star from the column means of
-    row-normalized loadings: psi* ~ N chi^2 + q with chi = ||column means||
-    and q the mean eigenvalue of the demeaned Gram matrix."""
-    lam = np.asarray(lam, dtype=float)
-    n, f = lam.shape
-    row_norms = np.sum(lam**2, axis=1)
-    if np.max(np.abs(row_norms - 1.0)) > 1e-8:
-        raise ValidationError("loadings rows must have unit norm (to 1e-8)")
-    lambda_bar = lam.mean(axis=0)
-    chi = float(np.linalg.norm(lambda_bar))
-    if chi < 1e-12:
-        raise ValidationError(
-            "column means vanish; sign-canonicalize the alphas first "
-            "(a vanishing chi implies negative row sums)"
-        )
-    demeaned = lam - lambda_bar
-    q = float(np.trace(demeaned.T @ demeaned)) / f
-    psi_star = n * chi**2 + q
-    zeta_star = n * chi / math.sqrt(psi_star)
-    rho_star = psi_star * zeta_star / n**1.5
-    return NonbinaryBound(
-        lambda_bar=lambda_bar,
-        chi=chi,
-        q=q,
-        psi_star_est=float(psi_star),
-        zeta_star_est=float(zeta_star),
-        rho_star_est=float(rho_star),
-    )

@@ -89,7 +89,8 @@ class CorrelationMatrix:
         # a NaN or infinite entry makes asym non-finite (inf - inf is NaN);
         # NaN would pass every comparison below
         with np.errstate(invalid="ignore"):
-            asym = np.max(np.abs(self.psi - self.psi.T))
+            asym = self.psi - self.psi.T
+            asym = np.max(np.abs(asym, out=asym))
         if not np.isfinite(asym):
             bad = np.argwhere(~np.isfinite(self.psi))
             if len(bad):
@@ -182,10 +183,12 @@ class CorrelationMatrix:
 def unit_diagonal(cov):
     """cov_ij / (d_i d_j) with d = sqrt(diag(cov)): the correlation matrix
     of a covariance matrix, made exactly symmetric by averaging it with its
-    transpose, with an exact unit diagonal."""
+    transpose, with an exact unit diagonal. `cov` is left as it is."""
     d = np.sqrt(np.diag(cov))
-    psi = cov / np.outer(d, d)
-    psi = (psi + psi.T) / 2.0
+    psi = np.outer(d, d)
+    np.divide(cov, psi, out=psi)
+    psi = psi + psi.T
+    psi /= 2.0
     np.fill_diagonal(psi, 1.0)
     return psi
 
@@ -351,9 +354,12 @@ def _atomic_write(path, text):
 def pairwise_correlation(panel, min_overlap=12):
     """Pearson correlation over pairwise-complete observations.
 
-    Raises if any pair has fewer than min_overlap joint observations (or
-    none, whatever min_overlap is) or a column has zero variance.
+    Raises if min_overlap is negative, if any pair has fewer than
+    min_overlap joint observations (or none, whatever min_overlap is) or a
+    column has zero variance.
     """
+    if min_overlap < 0:
+        raise ValidationError(f"min_overlap must be at least 0, got {min_overlap}")
     x = panel.values
     obs = (~np.isnan(x)).astype(float)
     x0 = np.where(np.isnan(x), 0.0, x)

@@ -125,3 +125,18 @@ def deflated_eigenvalues(model, corr):
     block = root[:, None] * m * root[None, :]
     block[np.diag_indices_from(block)] = counts * np.diag(m) + d
     return np.sort(np.concatenate([np.linalg.eigh(block)[0], np.repeat(d, counts - 1)]))
+
+
+def build_covariance(model):
+    """psi of factor_model.build_covariance as first written: an N x N
+    diag(xi^2) plus the product Omega Phi Omega^T, then cov / outer(d, d)
+    averaged with its transpose."""
+    rows = np.column_stack([model.xi, model.loadings()])
+    rows = np.ldexp(rows, -np.frexp(np.max(np.abs(rows), axis=1))[1][:, None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma = np.diag(rows[:, 0] ** 2) + rows[:, 1:] @ model.phi_cov @ rows[:, 1:].T
+    d = np.sqrt(np.diag(gamma))
+    psi = gamma / np.outer(d, d)
+    psi = (psi + psi.T) / 2.0
+    np.fill_diagonal(psi, 1.0)
+    return psi

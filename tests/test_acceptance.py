@@ -78,8 +78,9 @@ def test_03_specific_risk_formula():
         spec = fm.ClusterSpec.from_sizes(
             sizes, phi=np.full(f, phi), xi=np.full(f, math.sqrt(zeta * phi))
         )
-        rho0, top = fm.rho_star_binary(base)
-        rho, _ = fm.rho_star_binary(spec)
+        eig0 = fm.binary_eigensystem(base)
+        rho0, top = eig0.rho_star, eig0.top_cluster
+        rho = fm.binary_eigensystem(spec).rho_star
         n_star = sizes[top - 1]
         formula = rho0 * (1.0 + zeta / n_star) / (1.0 + zeta)
         worst = max(worst, abs(rho - formula))

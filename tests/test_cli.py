@@ -130,6 +130,21 @@ class TestAnalyze:
         assert run(["analyze", str(path), "--min-overlap", min_overlap]) == 2
         assert "pair ('a1', 'a2') has only 0 joint observations" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,config,value", [
+        (["--min-overlap", "-5"], None, -5), ([], {"min-overlap": -1}, -1)])
+    def test_negative_min_overlap_exit_2(self, tmp_path, capsys, flags, config, value):
+        path = tmp_path / "panel.csv"
+        path.write_text("time,a,b\n1,0.1,0.2\n2,0.3,0.1\n3,0.2,0.5\n")
+        cfg = []
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            cfg = ["--config", str(tmp_path / "cfg.json")]
+        assert run([*cfg, "analyze", str(path), *flags]) == 2
+        assert capsys.readouterr().err == f"error: min_overlap must be at least 0, got {value}\n"
+        # 0 is valid: every pair here has three joint observations
+        assert run(["analyze", str(path), "--min-overlap", "0",
+                    "--out", str(tmp_path / "out.json")]) == 0
+
     def test_config_overrides_min_overlap(self, tmp_path):
         rng = np.random.default_rng(1)
         vals = rng.standard_normal((6, 3))

@@ -27,7 +27,6 @@ class TestLowerBound:
         est = cl.lower_bound_from_psi(657, 207.0)
         assert est.lower_bound == pytest.approx(657.0 / 207.0, rel=1e-12)
         assert est.lower_bound == pytest.approx(3.17, abs=0.01)
-        assert est.lower_bound_ceiling == 4
 
     def test_uniform_closed_form_large_n(self):
         n, rho = 10_000, 0.2
@@ -46,10 +45,6 @@ class TestLowerBound:
         corr = build_covariance(spec.to_factor_model())
         est = cl.lower_bound_F(corr)
         assert est.lower_bound == pytest.approx(5.0, rel=1e-9)
-
-    def test_ceiling(self):
-        assert cl.lower_bound_from_psi(10, 5.0).lower_bound_ceiling == 2
-        assert cl.lower_bound_from_psi(10, 4.0).lower_bound_ceiling == 3
 
 
 class TestResidualSweep:

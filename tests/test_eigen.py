@@ -337,12 +337,12 @@ class TestDowndateSweep:
 
 
 class TestDecompositionBudget:
-    """N x N eigendecompositions made by one CLI command."""
+    """N x N decompositions (cholesky, eigh, eigvalsh) made by one CLI command."""
 
     def square(self, monkeypatch, n, argv):
-        """Names of the eigh and eigvalsh calls on an n x n matrix."""
+        """Names of the cholesky, eigh and eigvalsh calls on an n x n matrix."""
         calls = []
-        for name in ("eigh", "eigvalsh"):
+        for name in ("cholesky", "eigh", "eigvalsh"):
             real = getattr(np.linalg, name)
 
             def counted(a, *args, _real=real, _name=name, **kwargs):
@@ -360,9 +360,10 @@ class TestDecompositionBudget:
         cluster_corr_csv(path, n)
         out = tmp_path / "out.json"
         argv = ["analyze", str(path), "--corr", "--deform", "--out", str(out)]
-        # the input's spectrum feeds the deformation; the deformed matrix's
-        # top pair comes from the block iteration and its certificate
-        assert self.square(monkeypatch, n, argv) == ["eigh"]
+        # the input fails its Cholesky PSD test and its spectrum feeds the
+        # deformation; the deformed matrix's top pair comes from the block
+        # iteration and its certificate Cholesky
+        assert self.square(monkeypatch, n, argv) == ["cholesky", "eigh", "cholesky"]
         assert json.loads(out.read_text())["deformed"] is True
 
     def test_analyze_corr_positive_definite(self, tmp_path, monkeypatch):
@@ -371,7 +372,8 @@ class TestDecompositionBudget:
         cluster_corr_csv(path, n, m=400)
         out = tmp_path / "out.json"
         argv = ["analyze", str(path), "--corr", "--out", str(out)]
-        assert self.square(monkeypatch, n, argv) == []
+        # the block iteration's certificate is the one decomposition
+        assert self.square(monkeypatch, n, argv) == ["cholesky"]
         doc = json.loads(out.read_text())
         want1, want_v = dense_top(pm.load_correlation(path).psi)
         assert doc["psi1"] == pytest.approx(want1, rel=1e-12)
@@ -396,9 +398,18 @@ class TestDecompositionBudget:
         cluster_corr_csv(path, n)
         argv = ["clusters", str(path), "--kmax", "5", "--deform",
                 "--out", str(tmp_path / "sweep.csv")]
-        # the input's eigh feeds the deformation; the deformed matrix's PSD
-        # verdict comes from a Cholesky, its top pairs from the block
-        assert self.square(monkeypatch, n, argv) == ["eigh"]
+        # the input fails its Cholesky PSD test and its eigh feeds the
+        # deformation; the deformed matrix's PSD verdict comes from a
+        # Cholesky, its top pairs from the block and its certificate Cholesky
+        assert self.square(monkeypatch, n, argv) == ["cholesky", "eigh", "cholesky", "cholesky"]
+
+    def test_clusters_positive_definite(self, tmp_path, monkeypatch):
+        n = 150
+        path = tmp_path / "corr.csv"
+        cluster_corr_csv(path, n, m=400)
+        argv = ["clusters", str(path), "--kmax", "5", "--out", str(tmp_path / "sweep.csv")]
+        # the PSD test's Cholesky, then the block's certificate Cholesky
+        assert self.square(monkeypatch, n, argv) == ["cholesky", "cholesky"]
 
     def test_model_dense_fallback(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(8)

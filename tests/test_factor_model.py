@@ -216,20 +216,22 @@ class TestRhoStarBinary:
         # equal clusters, zero specific risk: rho_star = F^{-3/2}
         for f in (2, 4, 8):
             spec = fm.ClusterSpec.from_sizes([10] * f)
-            rho, _ = fm.rho_star_binary(spec)
+            rho = fm.binary_eigensystem(spec).rho_star
             assert rho == pytest.approx(f**-1.5, abs=1e-12)
 
     def test_spec_risk_suppression_ratio(self):
         # rho_star(zeta) / rho_star(0) = (1 + zeta / N_star) / (1 + zeta)
         sizes = [8, 5, 3]
         base = fm.ClusterSpec.from_sizes(sizes)
-        rho0, top0 = fm.rho_star_binary(base)
+        eig0 = fm.binary_eigensystem(base)
+        rho0, top0 = eig0.rho_star, eig0.top_cluster
         for zeta in (0.25, 1.0, 3.0):
             phi = np.ones(3)
             spec = fm.ClusterSpec.from_sizes(
                 sizes, phi=phi, xi=np.sqrt(zeta * phi)
             )
-            rho, top = fm.rho_star_binary(spec)
+            eig = fm.binary_eigensystem(spec)
+            rho, top = eig.rho_star, eig.top_cluster
             assert top == top0
             expect = rho0 * (1.0 + zeta / sizes[0]) / (1.0 + zeta)
             assert rho == pytest.approx(expect, rel=1e-12)
@@ -240,7 +242,7 @@ class TestRhoStarBinary:
         spec = fm.ClusterSpec.from_sizes(
             sizes, phi=np.array([1e-12]), xi=np.array([1.0])
         )
-        rho, _ = fm.rho_star_binary(spec)
+        rho = fm.binary_eigensystem(spec).rho_star
         assert rho == pytest.approx(math.sqrt(8.0) / 8.0**1.5, rel=1e-9)
 
     def test_tie_break_larger_cluster(self):
@@ -520,40 +522,3 @@ class TestSecular:
         with pytest.raises(ValidationError):
             fm.secular_roots([2, 2], 1.5)
 
-
-class TestNonbinaryBound:
-    def test_binary_exact_for_one_cluster(self):
-        # single cluster, no specific risk: Lambda is the all-ones column,
-        # chi = 1, q = 0, psi* = N, rho* = 1
-        lam = np.ones((6, 1))
-        bound = fm.nonbinary_bound(lam)
-        assert bound.chi == pytest.approx(1.0)
-        assert bound.psi_star_est == pytest.approx(6.0)
-        assert bound.rho_star_est == pytest.approx(1.0)
-
-    def test_accurate_in_dominant_factor_regime(self):
-        rng = np.random.default_rng(17)
-        n = 25
-        omega = np.column_stack(
-            [
-                np.ones(n),
-                0.15 * rng.standard_normal(n),
-                0.15 * rng.standard_normal(n),
-            ]
-        )
-        model = fm.FactorModel(omega=omega, phi_cov=np.eye(3), xi=np.zeros(n))
-        omega_t = omega @ np.linalg.cholesky(model.phi_cov)
-        lam = omega_t / np.linalg.norm(omega_t, axis=1)[:, None]
-        bound = fm.nonbinary_bound(lam)
-        dense = sp.spectral_summary(fm.build_covariance(model))
-        assert bound.psi_star_est == pytest.approx(dense.psi1, rel=0.05)
-        assert bound.rho_star_est == pytest.approx(dense.rho_star, rel=0.05)
-
-    def test_unit_row_norm_enforced(self):
-        with pytest.raises(ValidationError, match="unit norm"):
-            fm.nonbinary_bound(2.0 * np.ones((4, 1)))
-
-    def test_vanishing_chi_advises_canonicalization(self):
-        lam = np.array([[1.0], [-1.0], [1.0], [-1.0]])
-        with pytest.raises(ValidationError, match="canonicalize"):
-            fm.nonbinary_bound(lam)

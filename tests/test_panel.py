@@ -242,11 +242,17 @@ class TestPairwiseCorrelation:
         with pytest.raises(ValidationError, match="'a0'.*'a1'"):
             pm.pairwise_correlation(panel, min_overlap=4)
 
-    @pytest.mark.parametrize("min_overlap", [0, -1])
+    @pytest.mark.parametrize("min_overlap", [0, 1])
     def test_no_joint_observation_names_pair(self, min_overlap):
         panel = self._panel([[1, 2, np.nan, np.nan], [np.nan, np.nan, 3, 5]])
         with pytest.raises(ValidationError, match="'a0', 'a1'.* 0 joint observations"):
             pm.pairwise_correlation(panel, min_overlap=min_overlap)
+
+    def test_negative_min_overlap_rejected(self):
+        panel = self._panel([[1, 2, 3, 4], [4, 1, 3, 2]])
+        with pytest.raises(ValidationError, match=r"^min_overlap must be at least 0, got -1$"):
+            pm.pairwise_correlation(panel, min_overlap=-1)
+        assert pm.pairwise_correlation(panel, min_overlap=0).n == 2
 
     def test_zero_variance_column(self):
         panel = self._panel([[1, 1, 1, 1], [1, 2, 3, 4]])

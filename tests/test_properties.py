@@ -4,9 +4,9 @@ writes, secular_roots sum to N, interlace their poles and match a 60-digit
 root, sign canonicalization keeps psi1 and rho_star, with or without a
 cached spectrum, the top pair and the top k pairs without a spectrum are
 eigh's, the Cholesky PSD verdict is the spectrum rule's near the noise
-floor, the packed residual sweep is the N x N one bit for bit, the dense
-model path
-gives what eigh of the assembled matrix gives, with a binary model's
+floor, the packed residual sweep is the N x N one bit for bit,
+build_covariance gives the bits of its first formula, the dense model
+path gives what eigh of the assembled matrix gives, with a binary model's
 repeated alphas deflated too, a deflated block gathered from Phi gives
 what one read from the assembled matrix gives, the reduced model solvers
 give eigh's rho_star at a tied top, the model-document check
@@ -818,6 +818,37 @@ def test_dense_loadings_not_deflated():
     model = tied_top_model()
     assert reference.deflated_eigenvalues(model, fm.build_covariance(model)) is not None
     assert fm.deflated_eigenvalues(model) is None
+
+
+@st.composite
+def covariance_models(draw):
+    """Binary and dense-loadings models whose xi is zero (0.0 or -0.0) or
+    drawn per alpha, on a Phi whose off-diagonal entries are negative or
+    -0.0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = draw(st.integers(1, 6))
+    n = draw(st.integers(f, 30))
+    # diagonally dominant, so positive definite; -(0.0) leaves -0.0 entries
+    phi = -np.triu(rng.uniform(0.0, 1.0, (f, f)) * (rng.random((f, f)) < 0.7), 1)
+    phi = phi + phi.T + np.diag(rng.uniform(f, 2.0 * f, f))
+    xi = rng.choice([0.0, -0.0], n) if draw(st.booleans()) else rng.uniform(0.0, 3.0, n)
+    if draw(st.booleans()):
+        return fm.FactorModel(omega=rng.uniform(-1.0, 1.0, (n, f)), phi_cov=phi, xi=xi)
+    assignment = rng.permutation(np.concatenate([np.arange(1, f + 1),
+                                                 rng.integers(1, f + 1, n - f)]))
+    return fm.FactorModel(assignment=assignment, phi_cov=phi, xi=xi)
+
+
+@settings(deadline=None)
+@given(model=covariance_models())
+def test_build_covariance_matches_first_formula_bit_for_bit(model):
+    """build_covariance, which adds xi^2 onto the product's diagonal in place,
+    gives the bits of the N x N diag(xi^2) + Omega Phi Omega^T it replaced,
+    and unit_diagonal leaves the matrix it is given unchanged."""
+    assert_same_bits(fm.build_covariance(model).psi, reference.build_covariance(model))
+    phi = model.phi_cov.copy()
+    pm.unit_diagonal(model.phi_cov)
+    assert_same_bits(model.phi_cov, phi)
 
 
 @st.composite

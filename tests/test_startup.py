@@ -302,4 +302,4 @@ print(json.dumps({"n": len(alphaturn.__all__), "bad": bad, "panel": panel.__name
     proc = python("-c", code)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result == {"n": 38, "bad": [], "panel": "alphaturn.panel", "missing": False}
+    assert result == {"n": 35, "bad": [], "panel": "alphaturn.panel", "missing": False}
