@@ -513,15 +513,17 @@ def deflated_eigenvalues(model):
 def dense_rho_star(model):
     """Dense path: the EigenStructure of the model's assembled correlation
     matrix, every eigenvalue with multiplicity 1 and the top first, with
-    the top pair from the matrix's `eigenvalues` and `top_pair()`, or from
-    deflated_eigenvalues where a binary model's alphas repeat. Such a pair
-    must have |psi V1 - psi1 V1| at most the spread of psi1's eigenspace
-    plus eigen.TOP_RESIDUAL_TOL times psi1, the error a backward-stable
-    eigh may leave whatever the gap below psi1, else NumericalError."""
+    the eigenvalues w from np.linalg.eigvalsh and the top pair from the
+    matrix's `top_pair(w)`, or both from deflated_eigenvalues where a
+    binary model's alphas repeat. Such a pair must have |psi V1 - psi1 V1|
+    at most the spread of psi1's eigenspace plus eigen.TOP_RESIDUAL_TOL
+    times psi1, the error a backward-stable eigh may leave whatever the gap
+    below psi1, else NumericalError."""
     corr = build_covariance(model)
     deflated = deflated_eigenvalues(model)
     if deflated is None:
-        w, (psi1, v1) = corr.eigenvalues, corr.top_pair()
+        w = np.linalg.eigvalsh(corr.psi)
+        psi1, v1 = corr.top_pair(w)
     else:
         w, (psi1, v1) = deflated
         spread = psi1 - w[-eigen.top_multiplicity(w)]

@@ -72,16 +72,16 @@ class CorrelationMatrix:
     """Symmetric unit-diagonal correlation matrix.
 
     The full eigendecomposition, `spectrum`, is computed on first use and
-    cached, so one matrix costs at most one eigh. A consumer that needs
-    only the top of the spectrum takes `top_pair()` or `top_pairs(k)`:
-    they read a cached spectrum where there is one, else call
-    eigen.top_pairs (with the eigenvalues where `eigenvalues` has cached
-    them), and read the spectrum only where it declines. `psd` reads
-    cached eigenvalues, else tries one Cholesky first. Nothing is computed
-    at construction, and nothing here computes eigvalsh but `eigenvalues`.
+    cached, so one matrix costs at most one eigh; `spectrum` is the only
+    code that fills the cache. A consumer that needs only the top of the
+    spectrum takes `top_pair(w)` or `top_pairs(k)`: they read a cached
+    spectrum where there is one, else call eigen.top_pairs (with the
+    eigenvalues w where the caller has them), and read the spectrum only
+    where it declines. `psd` reads a cached spectrum, else tries one
+    Cholesky first. Nothing is computed at construction.
     """
 
-    def __init__(self, psi, *, labels=None, spectrum=None):
+    def __init__(self, psi, *, labels=None):
         self.psi = np.asarray(psi, dtype=float)
         n = self.psi.shape[0]
         if self.psi.shape != (n, n):
@@ -104,8 +104,7 @@ class CorrelationMatrix:
         if np.max(np.abs(self.psi)) > 1.0 + 1e-12:
             raise ValidationError("off-diagonal correlations must lie in [-1, 1]")
         self.labels = [f"a{i + 1}" for i in range(n)] if labels is None else labels
-        self._spectrum = spectrum
-        self._eigenvalues = None
+        self._spectrum = None
         self._top = None
         self._certified = False
 
@@ -122,26 +121,16 @@ class CorrelationMatrix:
         return self._spectrum
 
     @property
-    def eigenvalues(self):
-        """Ascending eigenvalues, from the spectrum where it is cached, else
-        from np.linalg.eigvalsh on first access."""
-        if self._eigenvalues is None:
-            self._eigenvalues = (np.linalg.eigvalsh(self.psi) if self._spectrum is None
-                                 else self._spectrum[0])
-        return self._eigenvalues
-
-    @property
     def psd(self):
         """The PSD rule of eigen.is_positive_definite on the cached
-        eigenvalues. Without them, True where eigen.certify_positive proves
+        spectrum. Without it, True where eigen.certify_positive proves
         psi - s I positive definite, with s = (PSD_TOL + N (N + 1) eps) N:
         N >= psi1 (Gershgorin, as |psi_ij| <= 1), so s bounds the noise
         floor plus the rounding of an eigh. Else, where the Cholesky cannot
         decide, the rule on the spectrum. A success is cached."""
         if self._certified:
             return True
-        w = self._eigenvalues if self._spectrum is None else self._spectrum[0]
-        if w is None:
+        if self._spectrum is None:
             n = self.n
             m = self.psi.copy()
             m.flat[::n + 1] -= (eigen.PSD_TOL + n * (n + 1) * eigen.EPS) * n
@@ -149,17 +138,17 @@ class CorrelationMatrix:
             if self._certified:
                 return True
             del m
-            w = self.spectrum[0]
-        return eigen.is_positive_definite(w)
+        return eigen.is_positive_definite(self.spectrum[0])
 
-    def top_pair(self):
-        """(psi1, V1), cached: from eigen.top_pairs where no spectrum is
-        cached, else (or where it declines) from the spectrum under the tie
-        rule of eigen.top_eigenvector; V1 has a nonnegative sum."""
+    def top_pair(self, w=None):
+        """(psi1, V1), cached: where no spectrum is cached, from
+        eigen.top_pairs, passed w, all of psi's eigenvalues ascending, where
+        the caller has them; else (or where it declines) from the spectrum
+        under the tie rule of eigen.top_eigenvector. V1 has a nonnegative sum."""
         if self._top is None:
             pair = None
             if self._spectrum is None:
-                pair = eigen.top_pairs(self.psi, 1, self._eigenvalues)
+                pair = eigen.top_pairs(self.psi, 1, w)
             if pair is None:
                 self._top = eigen.top_eigenvector(*self.spectrum)
             else:
@@ -172,7 +161,7 @@ class CorrelationMatrix:
         cached, else (or where it declines) from the spectrum."""
         pairs = None
         if self._spectrum is None:
-            pairs = eigen.top_pairs(self.psi, k, self._eigenvalues)
+            pairs = eigen.top_pairs(self.psi, k)
         if pairs is None:
             w, v = self.spectrum
             order = np.argsort(w)[::-1][:k]
@@ -430,9 +419,7 @@ def canonicalize_signs(corr):
 
     Scans indices in ascending order and flips any sign whose row sum is
     negative; stops after a full pass with no flip, or after 100 N passes.
-    Returns the +-1 sign array s and the re-signed matrix S Psi S, which
-    carries over a cached spectrum: its eigenvalues are Psi's and its
-    eigenvectors S V.
+    Returns the +-1 sign array s and the re-signed matrix S Psi S.
     """
     psi = corr.psi
     n = corr.n
@@ -446,14 +433,8 @@ def canonicalize_signs(corr):
                 flipped = True
         if not flipped:
             break
-    spectrum = None
-    if corr._spectrum is not None:
-        w, v = corr._spectrum
-        spectrum = (w, s[:, None] * v)
     # the diagonal stays exactly 1, as s_i^2 = 1
-    new_corr = CorrelationMatrix(psi * np.outer(s, s), labels=list(corr.labels),
-                                 spectrum=spectrum)
-    return s, new_corr
+    return s, CorrelationMatrix(psi * np.outer(s, s), labels=list(corr.labels))
 
 
 def deform_correlation(corr):

@@ -279,21 +279,20 @@ class TestSpectrumCache:
         assert calls == [(100, 100)] and singular._spectrum is not None
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_canonicalize_carries_spectrum(self, seed):
+    def test_canonicalize_carries_no_spectrum(self, seed):
+        # the re-signed matrix solves its own top pair, as a fresh one does
         rng = np.random.default_rng(seed)
         flip = np.where(rng.random(40) < 0.4, -1.0, 1.0)
         psi = random_corr(40, seed) * np.outer(flip, flip)
         np.fill_diagonal(psi, 1.0)
         corr = fresh(psi)
-        w, v = corr.spectrum
+        corr.spectrum
         signs, new = pm.canonicalize_signs(corr)
-        w2, v2 = new._spectrum
-        np.testing.assert_array_equal(w2, w)
-        np.testing.assert_allclose(new.psi @ v2, v2 * w2, rtol=0, atol=1e-12)
-        carried = sp.spectral_summary(new)
-        direct = sp.spectral_summary(fresh(new.psi.copy()))
-        assert carried.rho_star == pytest.approx(direct.rho_star, rel=1e-12)
-        np.testing.assert_allclose(carried.v1, direct.v1, rtol=0, atol=1e-12)
+        assert np.any(signs < 0) and new._spectrum is None
+        got = sp.spectral_summary(new)
+        want = sp.spectral_summary(fresh(new.psi.copy()))
+        assert got.to_dict() == want.to_dict()
+        np.testing.assert_array_equal(got.v1, want.v1)
 
     def test_canonicalize_without_spectrum_computes_nothing(self):
         _, new = pm.canonicalize_signs(fresh(random_corr(20, seed=6)))
