@@ -59,11 +59,12 @@ def cmd_analyze(args):
         corr = panel_mod.load_correlation(args.input)
     else:
         na_policy = args.na_policy or "literal_NA"
+        min_overlap = 12 if args.min_overlap is None else args.min_overlap
+        panel_mod.check_min_overlap(min_overlap)
         panel = panel_mod.load_panel(args.input, na_policy=na_policy)
         if args.factors:
             factors = panel_mod.load_panel(args.factors, na_policy=na_policy)
             panel = panel_mod.regress_out(panel, factors)
-        min_overlap = 12 if args.min_overlap is None else args.min_overlap
         corr = panel_mod.pairwise_correlation(panel, min_overlap=min_overlap)
     deformed = False
     if args.deform and not corr.psd:

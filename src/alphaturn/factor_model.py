@@ -52,6 +52,18 @@ def _integers(values, what):
     return values.astype(int, copy=False)
 
 
+def _cluster_sizes(sizes):
+    """`sizes` as a 1-D int array of positive cluster sizes; ValidationError
+    where one is not an integer within int64 (see _integers) or not
+    positive, or where they do not form one list."""
+    sizes = _integers(sizes, "cluster sizes")
+    if sizes.ndim != 1:
+        raise ValidationError(f"cluster sizes must be one list, got shape {sizes.shape}")
+    if np.any(sizes < 1):
+        raise ValidationError("cluster sizes must be positive")
+    return sizes
+
+
 def cluster_counts(assignment, f):
     """Alphas in each of F clusters of 1-based int cluster ids, each in 1..F."""
     if assignment.size and not 1 <= assignment.min() <= assignment.max() <= f:
@@ -77,16 +89,15 @@ class ClusterSpec:
     xi: np.ndarray = None
 
     def __post_init__(self):
-        self.sizes = _integers(self.sizes, "cluster sizes")
+        self.sizes = _cluster_sizes(self.sizes)
         f = len(self.sizes)
         self.phi = np.ones(f) if self.phi is None else np.asarray(self.phi, dtype=float)
         self.xi = np.zeros(f) if self.xi is None else np.asarray(self.xi, dtype=float)
-        if np.any(self.sizes < 1):
-            raise ValidationError("cluster sizes must be positive")
-        if self.phi.shape != (f,) or np.any(self.phi <= 0):
-            raise ValidationError("phi must be positive, one per cluster")
-        if self.xi.shape != (f,) or np.any(self.xi < 0):
-            raise ValidationError("xi must be nonnegative, one per cluster")
+        # two comparisons each, which NaN fails
+        if self.phi.shape != (f,) or not np.all((self.phi > 0) & (self.phi < np.inf)):
+            raise ValidationError("phi must be positive and finite, one per cluster")
+        if self.xi.shape != (f,) or not np.all((self.xi >= 0) & (self.xi < np.inf)):
+            raise ValidationError("xi must be nonnegative and finite, one per cluster")
 
     @classmethod
     def from_sizes(cls, sizes, phi=None, xi=None):
@@ -406,12 +417,12 @@ def reduce_nondiagonal(sizes, factor_corr):
     """Eigenstructure of the binary model with non-diagonal factor
     covariance, solved in the reduced F x F problem Q PsiHat Q with
     Q = diag(sqrt(N_A))."""
-    sizes = np.asarray(sizes, dtype=int)
+    sizes = _cluster_sizes(sizes)
     factor_corr = np.asarray(factor_corr, dtype=float)
     f = len(sizes)
     n = int(sizes.sum())
-    if np.any(sizes < 1):
-        raise ValidationError("cluster sizes must be positive")
+    if not np.isfinite(factor_corr).all():
+        raise ValidationError("factor correlation must be finite")
     if factor_corr.shape != (f, f) or np.max(np.abs(factor_corr - factor_corr.T)) > 1e-12:
         raise ValidationError("factor correlation must be symmetric F x F")
     q = np.sqrt(sizes.astype(float))
@@ -566,8 +577,9 @@ def _cluster_xi(model):
 
 
 def _secular_poles(sizes, rho):
-    """Distinct pole positions (1-rho) N_C with their multiplicities."""
-    uniq, counts = np.unique(np.asarray(sizes, dtype=int), return_counts=True)
+    """Distinct pole positions (1-rho) N_C, of sizes checked by
+    _cluster_sizes, with their multiplicities."""
+    uniq, counts = np.unique(sizes, return_counts=True)
     return uniq, counts, (1.0 - rho) * uniq.astype(float)
 
 
@@ -578,9 +590,7 @@ def secular_roots(sizes, rho):
     Returns F values in descending order. rho = 1 is handled analytically
     (one eigenvalue N, the rest zero).
     """
-    sizes = np.asarray(sizes, dtype=int)
-    if np.any(sizes < 1):
-        raise ValidationError("cluster sizes must be positive")
+    sizes = _cluster_sizes(sizes)
     f = len(sizes)
     n = float(sizes.sum())
     if not 0 <= rho <= 1:  # also rejects NaN
@@ -635,6 +645,7 @@ class SecularRootCheck:
 def secular_identity_check(sizes, rho, step=1e-5):
     """Verify, per simple root, that (sum_B sqrt(N_B) chi_B)^2 equals
     psi + (1-rho) d(psi)/d(rho) via central differences."""
+    sizes = _cluster_sizes(sizes)
     if not (0 < rho - step and rho + step < 1):
         raise ValidationError("need rho +/- step inside (0, 1)")
     uniq, counts, poles = _secular_poles(sizes, rho)

@@ -340,15 +340,21 @@ def _atomic_write(path, text):
         raise ValidationError(f"{path}: cannot write: {exc.strerror or exc}") from None
 
 
+def check_min_overlap(min_overlap):
+    """Raise ValidationError unless `min_overlap` is at least 0, as
+    pairwise_correlation requires."""
+    if min_overlap < 0:
+        raise ValidationError(f"min_overlap must be at least 0, got {min_overlap}")
+
+
 def pairwise_correlation(panel, min_overlap=12):
     """Pearson correlation over pairwise-complete observations.
 
-    Raises if min_overlap is negative, if any pair has fewer than
-    min_overlap joint observations (or none, whatever min_overlap is) or a
-    column has zero variance.
+    Raises if min_overlap is negative (check_min_overlap), if any pair has
+    fewer than min_overlap joint observations (or none, whatever
+    min_overlap is) or a column has zero variance.
     """
-    if min_overlap < 0:
-        raise ValidationError(f"min_overlap must be at least 0, got {min_overlap}")
+    check_min_overlap(min_overlap)
     x = panel.values
     obs = (~np.isnan(x)).astype(float)
     x0 = np.where(np.isnan(x), 0.0, x)

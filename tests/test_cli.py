@@ -145,6 +145,27 @@ class TestAnalyze:
         assert run(["analyze", str(path), "--min-overlap", "0",
                     "--out", str(tmp_path / "out.json")]) == 0
 
+    def test_factors_regressed_out(self, tmp_path):
+        rng = np.random.default_rng(3)
+        times = [f"{t:02d}" for t in range(40)]
+        f = rng.standard_normal((40, 3))
+        vals = f @ rng.standard_normal((3, 6)) + 0.3 * rng.standard_normal((40, 6))
+        vals[4, 2] = np.nan
+        panel, factors, out = tmp_path / "panel.csv", tmp_path / "factors.csv", tmp_path / "a.json"
+        pm.save_panel(pm.AlphaPanel([f"a{i}" for i in range(6)], times, vals), panel)
+        pm.save_panel(pm.AlphaPanel(["f1", "f2", "f3"], times, f), factors)
+        assert run(["analyze", str(panel), "--factors", str(factors), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        resid = pm.regress_out(pm.load_panel(panel), pm.load_panel(factors))
+        signs, corr = pm.canonicalize_signs(pm.pairwise_correlation(resid))
+        assert doc["signs"] == signs.tolist()
+        assert doc["rho_star"] == sp.spectral_summary(corr).rho_star
+
+    def test_negative_min_overlap_checked_before_reading(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert run(["analyze", str(missing), "--min-overlap", "-5"]) == 2
+        assert capsys.readouterr().err == "error: min_overlap must be at least 0, got -5\n"
+
     def test_config_overrides_min_overlap(self, tmp_path):
         rng = np.random.default_rng(1)
         vals = rng.standard_normal((6, 3))
@@ -645,6 +666,9 @@ class TestModel:
          "factor covariance shape does not match loadings"),
         ({"mode": "dense", "omega": [[1, 2]], "phi": [[1, 0.5], [0.4, 1]]},
          "factor covariance must be symmetric"),
+        # symmetric, with eigenvalues 3 and -1
+        ({"mode": "binary", "sizes": [2, 1], "phi": [[1, 2], [2, 1]]},
+         "factor covariance must be positive definite"),
         ({"mode": "dense", "omega": [[1], [2]], "phi": [1], "xi": [1]},
          "specific risks must be nonnegative, one per alpha"),
         # the schema gives xi no maximum, so NaN passes it
@@ -1016,6 +1040,14 @@ class TestFTest:
         assert lines[0] == "time,f_old,f_new"
         doc = json.loads(summary.read_text())
         assert set(doc) >= {"median_f_old", "median_f_new", "verdict"}
+
+    def test_summary_to_stdout_without_summary_out(self, tmp_path, capsys):
+        self.test_end_to_end(tmp_path)
+        assert capsys.readouterr().out == ""
+        assert run(["ftest", *(str(tmp_path / f) for f in ("old.csv", "wold.csv", "new.csv",
+                    "wnew.csv")), "--out", str(tmp_path / "w.csv")]) == 0
+        assert capsys.readouterr().out == (tmp_path / "ftest.json").read_text()
+        assert (tmp_path / "w.csv").read_text() == (tmp_path / "ftest.csv").read_text()
 
     def test_missing_loading_exit_2(self, tmp_path, capsys):
         rng = np.random.default_rng(3)

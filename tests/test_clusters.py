@@ -100,6 +100,14 @@ class TestResidualSweep:
         assert 1 in curve.skipped
         assert 2 in curve.skipped
 
+    def test_exhausted_alpha_skips_later_steps(self):
+        # the second component is the lone sixth alpha: removing it leaves
+        # that alpha no residual variance, so steps 2 and 3 are skipped
+        psi = np.eye(6)
+        psi[:5, :5] = 0.9
+        curve = cl.residual_correlation_sweep(make_corr(psi), 3)
+        assert curve.ks == [1] and curve.skipped == [2, 3]
+
     def test_singular_matrix_requires_deform(self):
         psi = np.ones((3, 3))
         with pytest.raises(ValidationError, match="deform"):

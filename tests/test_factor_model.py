@@ -141,6 +141,33 @@ class TestBuildCovariance:
         with pytest.raises(ValidationError, match="^cluster sizes must be positive$"):
             fm.ClusterSpec.from_sizes([2, -1])
 
+    # sizes that the int cast would truncate, and non-finite parameters
+    # that would give NaN eigenvalues, are rejected by every solver
+    @pytest.mark.parametrize("call,message", [
+        (lambda: fm.secular_roots([2.7, 3], 0.3), "cluster sizes must be 64-bit integers, got 2.7"),
+        (lambda: fm.secular_roots([math.nan, 3], 0.3),
+         "cluster sizes must be 64-bit integers, got nan"),
+        (lambda: fm.secular_identity_check([2.5, 3, 4], 0.3),
+         "cluster sizes must be 64-bit integers, got 2.5"),
+        (lambda: fm.reduce_nondiagonal([1.5, 2], np.eye(2)),
+         "cluster sizes must be 64-bit integers, got 1.5"),
+        (lambda: fm.reduce_nondiagonal([2, 2], [[1.0, math.nan], [math.nan, 1.0]]),
+         "factor correlation must be finite"),
+        (lambda: fm.ClusterSpec([2, 3], phi=[math.nan, 1.0]),
+         "phi must be positive and finite, one per cluster"),
+        (lambda: fm.ClusterSpec([2, 3], phi=[math.inf, 1.0]),
+         "phi must be positive and finite, one per cluster"),
+        (lambda: fm.ClusterSpec([2, 3], xi=[math.inf, 1.0]),
+         "xi must be nonnegative and finite, one per cluster"),
+        (lambda: fm.ClusterSpec([2, 3], xi=[math.nan, 1.0]),
+         "xi must be nonnegative and finite, one per cluster"),
+        (lambda: fm.ClusterSpec([[1, 2]]), "cluster sizes must be one list, got shape (1, 2)"),
+    ], ids=["roots-fraction", "roots-nan", "identity-fraction", "nondiagonal-fraction",
+            "nondiagonal-nan-corr", "phi-nan", "phi-inf", "xi-inf", "xi-nan", "sizes-2d"])
+    def test_paper_equation_inputs_rejected(self, call, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call()
+
     def test_cluster_spec_holds_no_ids(self):
         spec = fm.ClusterSpec([3, 1], [2.0, 0.5], [0.1, 0.2])
         assert not hasattr(spec, "assignment")

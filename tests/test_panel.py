@@ -66,6 +66,17 @@ class TestLoadPanel:
         with pytest.raises(ValidationError, match="row 2"):
             pm.load_panel(p, na_policy="empty_cell")
 
+    @pytest.mark.parametrize("text,message", [
+        ("time,a,a\n1,0.1,0.2\n2,0.2,0.1\n", "alpha labels must be unique"),
+        ("time,a,b\n2,0.1,0.2\n2,0.2,0.1\n", "time labels must be strictly increasing"),
+        ("time,a,b\n10,0.1,0.2\n9,0.2,0.1\n", "time labels must be strictly increasing"),
+    ], ids=["duplicate-label", "repeated-time", "decreasing-time"])
+    def test_labels_and_times_checked(self, tmp_path, text, message):
+        p = tmp_path / "panel.csv"
+        p.write_text(text)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            pm.load_panel(p)
+
     def test_bad_row_width(self, tmp_path):
         p = tmp_path / "panel.csv"
         p.write_text("time,a,b\n1,0.1\n")
@@ -337,6 +348,17 @@ class TestRegressOut:
         )
         with pytest.raises(ValidationError, match="align"):
             pm.regress_out(panel, factors)
+
+    def test_missing_factor_where_alpha_observed(self):
+        rng = np.random.default_rng(6)
+        vals = rng.standard_normal((8, 2))
+        vals[3, 0] = np.nan
+        f = rng.standard_normal((8, 2))
+        f[3, 1] = np.nan
+        # a1 is unobserved where the factor is missing; a0 is not
+        with pytest.raises(ValidationError,
+                           match="^factors have missing values where alpha 'a1' is observed$"):
+            pm.regress_out(self._make(vals), self._make(f))
 
     def test_rank_deficient_factors(self):
         rng = np.random.default_rng(5)
