@@ -666,14 +666,14 @@ class TestModel:
          "factor covariance shape does not match loadings"),
         ({"mode": "dense", "omega": [[1, 2]], "phi": [[1, 0.5], [0.4, 1]]},
          "factor covariance must be symmetric"),
-        # symmetric, with eigenvalues 3 and -1
-        ({"mode": "binary", "sizes": [2, 1], "phi": [[1, 2], [2, 1]]},
-         "factor covariance must be positive definite"),
         ({"mode": "dense", "omega": [[1], [2]], "phi": [1], "xi": [1]},
          "specific risks must be nonnegative, one per alpha"),
         # the schema gives xi no maximum, so NaN passes it
         ({"mode": "dense", "omega": [[1], [2]], "phi": [1], "xi": [float("nan"), 1]},
          "loadings, factor covariance and specific risks must be finite"),
+        # symmetric, with eigenvalues 3 and -1
+        ({"mode": "binary", "sizes": [2, 1], "phi": [[1, 2], [2, 1]]},
+         "factor covariance must be positive definite"),
     ])
     def test_malformed_arrays_exit_2(self, tmp_path, capsys, doc, message):
         path = self._write_model(tmp_path, doc)
