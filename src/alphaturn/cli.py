@@ -87,6 +87,7 @@ def cmd_clusters(args):
     from . import panel as panel_mod
 
     clusters_mod.check_knee_args(args.rel_drop, args.window)
+    clusters_mod.check_k_max(args.kmax)
     corr = panel_mod.load_correlation(args.input)
     if not corr.psd:
         if not args.deform:

@@ -87,11 +87,13 @@ def residual_correlation_sweep(corr, k_max):
     (I - V V^T) Psi (I - V V^T) = Psi - sum_{j<=K} w_j v_j v_j^T, which keeps
     Psi's symmetry. So only the upper triangle, packed, and the diagonal are
     downdated, and the mean and median are taken over the upper triangle
-    (the same values as over all off-diagonal entries).
+    (the same values as over all off-diagonal entries). k_max is checked by
+    check_k_max, and must be less than N.
     """
     psi = corr.psi
     n = corr.n
-    if k_max < 1 or k_max >= n:
+    check_k_max(k_max)
+    if k_max >= n:
         raise ValidationError(f"need 1 <= k_max < N, got k_max={k_max}, N={n}")
     if not corr.psd:
         raise ValidationError(
@@ -117,6 +119,13 @@ def residual_correlation_sweep(corr, k_max):
         z2s.append(float(_median(vals)))
     # positive definite: every eigenvalue clears the noise floor
     return SweepCurve(ks=ks, zeta1=z1s, zeta2=z2s, rank_used=n, skipped=skipped)
+
+
+def check_k_max(k_max):
+    """Raise ValidationError unless `k_max` is at least 1, as
+    residual_correlation_sweep requires."""
+    if k_max < 1:
+        raise ValidationError(f"k_max must be at least 1, got {k_max}")
 
 
 def _median(vals):

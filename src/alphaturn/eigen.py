@@ -12,8 +12,6 @@ test that both ``top_pairs`` and ``CorrelationMatrix.psd`` rest on.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 # Relative eigenvalue floor: see noise_floor.
@@ -149,21 +147,21 @@ def top_pairs(psi, k, w=None):
     shrinks by about (psi_{b+1} - sigma) / (theta_j - sigma) a step, with
     |theta_b| standing in for psi_{b+1} where w is not given. The
     iteration stops once every guard passes and the residuals no longer
-    halve, or once they reach rounding level and no longer halve. From
-    the third step at one width on, that rate predicts the steps left, and
-    b times as many columns. Where it predicts more than WIDEN_STEPS steps,
-    or columns that overrun the budget, the block doubles, up to N / 4
-    columns, while three steps at the doubled width fit in the budget and
-    the last doubling cut the predicted columns (a flat spectrum gains
-    little from a wider block). Else, where the predicted columns overrun
-    the budget, it declines.
+    halve, or once it stalls: after three steps at one width, the worst
+    residual falls by less than a tenth a step. From the third step at one
+    width on, that rate predicts the steps left, and b times as many
+    columns. Where it predicts more than WIDEN_STEPS steps, or columns that
+    overrun the budget, the block doubles, up to N / 4 columns, while three
+    steps at the doubled width fit in the budget and the last doubling cut
+    the predicted columns (a flat spectrum gains little from a wider
+    block). Else, where the predicted columns overrun the budget, it
+    declines.
     """
     n = len(psi)
     b = max(8, 4 * k)
     if w is None and 4 * b > n:
         return None
     b = min(b, n)
-    scale = 1.0
     if w is not None:
         ref = w[:-k - 2:-1]
         scale = max(ref[0], 1.0)
@@ -189,8 +187,7 @@ def top_pairs(psi, k, w=None):
         gap = _gaps(ref)
         worst = np.max(res[:k])
         passed = np.all(res[:k] <= TOP_RESIDUAL_TOL * gap)
-        if b == n or (worst >= last / 2
-                      and (passed or worst <= 64 * math.sqrt(n) * EPS * scale)):
+        if b == n or (worst >= last / 2 and passed) or (at_width > 3 and worst >= 0.9 * last):
             break
         last = worst
         if used >= budget:

@@ -43,9 +43,15 @@ MODEL_SCHEMA = {
 
 
 def _integers(values, what):
-    """`values` as an int array; ValidationError naming `what` where one is not
-    an integer within int64 (1.5, NaN, inf), which the cast would mangle."""
-    values = np.asarray(values)
+    """`values` as an int array; ValidationError naming `what` where they are
+    ragged or not numbers, or where one is not an integer within int64 (1.5,
+    NaN, inf), which the cast would mangle."""
+    try:
+        values = np.asarray(values)
+    except ValueError:  # ragged
+        values = None
+    if values is None or values.dtype.kind not in "iuf":
+        raise ValidationError(f"{what} must be an array of 64-bit integers")
     bad = values.dtype.kind == "f" and ~((abs(values) < 2.0**63) & (values == np.round(values)))
     if np.any(bad):
         raise ValidationError(f"{what} must be 64-bit integers, got {float(values[bad][0])}")
@@ -55,10 +61,12 @@ def _integers(values, what):
 def _cluster_sizes(sizes):
     """`sizes` as a 1-D int array of positive cluster sizes; ValidationError
     where one is not an integer within int64 (see _integers) or not
-    positive, or where they do not form one list."""
+    positive, or where they do not form one list of at least one cluster."""
     sizes = _integers(sizes, "cluster sizes")
     if sizes.ndim != 1:
         raise ValidationError(f"cluster sizes must be one list, got shape {sizes.shape}")
+    if not len(sizes):
+        raise ValidationError("cluster sizes must list at least one cluster")
     if np.any(sizes < 1):
         raise ValidationError("cluster sizes must be positive")
     return sizes
@@ -144,6 +152,8 @@ class FactorModel:
             if self.omega is not None:
                 raise ValidationError("a model takes loadings or cluster ids, not both")
             self.mode, self.assignment = "binary", _integers(self.assignment, "cluster ids")
+            if self.assignment.ndim != 1:
+                raise ValidationError("cluster ids must be one list")
             n, f = len(self.assignment), len(self.phi_cov)
             self.sizes = cluster_counts(self.assignment, f)
             if not self.sizes.all():

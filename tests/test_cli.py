@@ -493,6 +493,23 @@ class TestClusters:
         assert run(["clusters", "corr.csv", "--kmax", "8", flag, value]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_kmax_below_one_exit_2_before_reading(self, tmp_path, capsys, via):
+        # the file is missing: it must not be looked for, with or without
+        # --deform, which would read it, decompose and deform it first
+        missing = tmp_path / "missing.csv"
+        argv = ["clusters", str(missing), "--deform"]
+        if via == "flag":
+            argv += ["--kmax", "0"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"kmax": 0}))
+            argv = ["--config", str(cfg), *argv]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: k_max must be at least 1, got 0\n"
+        assert run([a for a in argv if a != "--deform"]) == 2
+        assert capsys.readouterr().err == "error: k_max must be at least 1, got 0\n"
+
 
 class TestModel:
     def _write_model(self, tmp_path, doc):

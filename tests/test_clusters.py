@@ -117,6 +117,11 @@ class TestResidualSweep:
         with pytest.raises(ValidationError):
             cl.residual_correlation_sweep(uniform_corr(4, 0.2), k_max=4)
 
+    @pytest.mark.parametrize("k_max", [0, -3])
+    def test_kmax_below_one(self, k_max):
+        with pytest.raises(ValidationError, match=f"^k_max must be at least 1, got {k_max}$"):
+            cl.residual_correlation_sweep(uniform_corr(4, 0.2), k_max=k_max)
+
     def test_csv_format(self):
         curve = cl.residual_correlation_sweep(uniform_corr(4, 0.5), k_max=2)
         lines = curve.to_csv().strip().split("\n")

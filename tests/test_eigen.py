@@ -217,16 +217,21 @@ class TestTopPairs:
         w = np.linalg.eigvalsh(narrow)
         np.testing.assert_allclose(eigen.top_pairs(narrow, k, w)[0], w[:-k - 1:-1], rtol=1e-13)
 
-    @pytest.mark.parametrize("kind", ["flat", "30-clusters"])
+    @pytest.mark.parametrize("kind", ["flat", "30-clusters", "near-tied"])
     def test_unseparated_top_declines_early(self, kind, monkeypatch):
         # a flat spectrum (150 draws of 300 independent alphas) and 30
         # clusters under a block of 8 or 16: the Ritz values predict more
         # columns than the budget of N, so the block declines after a few
-        # steps where it used to spend the budget first
+        # steps where it used to spend the budget first. Two clusters whose
+        # top eigenvalues lie 1.2e-6 apart (relative), far above the bulk:
+        # the residuals reach rounding level in a few steps but stay above
+        # the guard's 1e-12 times that gap, so the iteration stalls there
         if kind == "flat":
             psi = np.corrcoef(np.random.default_rng(4).standard_normal((150, 300)).T)
             psi = (psi + psi.T) / 2.0
             np.fill_diagonal(psi, 1.0)
+        elif kind == "near-tied":
+            psi = block_corr([200, 200], [0.4, 0.4 + 1e-4 / 199])
         else:
             psi = clustered_corr(400, 30, 150, seed=1)
         blocks = []
@@ -235,6 +240,26 @@ class TestTopPairs:
                             lambda a, *args: blocks.append(a.shape[1]) or real(a, *args))
         assert eigen.top_pairs(psi, 1) is None
         assert sum(blocks) <= 100
+
+    def test_slowly_converging_top_accepted(self):
+        # top 10 on a vector within 1e-9 of the uniform start column, then 7
+        # and 20 values from 6.9 down to 6.0 above a bulk in [0, 1): the
+        # residual falls by about psi_9 / psi_1 = 0.66 a step, never
+        # halving, and passes its guard (3e-12) after about 20 steps. The
+        # iteration must not take it for stalled before then
+        n = 600
+        rng = np.random.default_rng(0)
+        top = np.ones(n) / np.sqrt(n) + 1e-9 * rng.standard_normal(n)
+        basis = np.linalg.qr(np.column_stack([top, rng.standard_normal((n, n - 1))]))[0]
+        vals = np.concatenate([[10.0, 7.0], np.linspace(6.9, 6.0, 20), rng.uniform(0, 1, n - 22)])
+        psi = (basis * vals) @ basis.T
+        psi = (psi + psi.T) / 2.0
+        got = eigen.top_pairs(psi, 1)
+        assert got is not None
+        assert got[0][0] == pytest.approx(10.0, rel=1e-12)
+        want_v = dense_top(psi)[1]
+        np.testing.assert_allclose(eigen.unit_nonnegative_sum(got[1][:, 0]), want_v, rtol=0,
+                                   atol=1e-11)
 
     def test_tied_top_declines(self):
         psi = block_corr([40] * 4, [0.4] * 4)

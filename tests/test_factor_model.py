@@ -168,6 +168,29 @@ class TestBuildCovariance:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             call()
 
+    # sizes or ids that form no layout: numpy would answer an empty list
+    # with one root, a RuntimeWarning or a plain ValueError, and a ragged or
+    # non-numeric one with a plain ValueError
+    @pytest.mark.parametrize("call,message", [
+        (lambda: fm.secular_roots([], 0.3), "cluster sizes must list at least one cluster"),
+        (lambda: fm.secular_identity_check([], 0.3),
+         "cluster sizes must list at least one cluster"),
+        (lambda: fm.ClusterSpec([]), "cluster sizes must list at least one cluster"),
+        (lambda: fm.reduce_nondiagonal([], np.zeros((0, 0))),
+         "cluster sizes must list at least one cluster"),
+        (lambda: fm.ClusterSpec([[1], [1, 2]]), "cluster sizes must be an array of 64-bit integers"),
+        (lambda: fm.ClusterSpec(["a", 2]), "cluster sizes must be an array of 64-bit integers"),
+        (lambda: fm.ClusterSpec(["1", 2]), "cluster sizes must be an array of 64-bit integers"),
+        (lambda: fm.FactorModel(phi_cov=np.eye(2), xi=np.zeros(2), assignment=[[1], [1, 2]]),
+         "cluster ids must be an array of 64-bit integers"),
+        (lambda: fm.FactorModel(phi_cov=np.eye(2), xi=np.zeros(2), assignment=[[1], [2]]),
+         "cluster ids must be one list"),
+    ], ids=["roots-empty", "identity-empty", "spec-empty", "nondiagonal-empty", "sizes-ragged",
+            "sizes-text", "sizes-numeric-text", "ids-ragged", "ids-2d"])
+    def test_empty_ragged_or_non_numeric_layout_rejected(self, call, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call()
+
     def test_cluster_spec_holds_no_ids(self):
         spec = fm.ClusterSpec([3, 1], [2.0, 0.5], [0.1, 0.2])
         assert not hasattr(spec, "assignment")
